@@ -10,13 +10,14 @@
 // from its `metrics` verb, read before and after the measured phase.
 #include <fcntl.h>
 #include <signal.h>
-#include <spawn.h>
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -35,8 +36,6 @@
 #include "schedule.h"
 #include "serve/client.h"
 #include "stats.h"
-
-extern char** environ;
 
 namespace perfbench {
 namespace {
@@ -73,10 +72,6 @@ class Daemon {
   Daemon(const std::string& binary, const std::string& dir) {
     std::filesystem::create_directories(dir + "/cache");
     const std::string out = dir + "/daemon.out";
-    posix_spawn_file_actions_t actions;
-    posix_spawn_file_actions_init(&actions);
-    posix_spawn_file_actions_addopen(&actions, STDOUT_FILENO, out.c_str(),
-                                     O_WRONLY | O_CREAT | O_TRUNC, 0644);
     const std::string cache_dir = dir + "/cache";
     std::vector<std::string> args = {binary,      "serve",     "--port",
                                      "0",         "--cache-dir", cache_dir,
@@ -84,12 +79,16 @@ class Daemon {
     std::vector<char*> argv;
     for (std::string& arg : args) argv.push_back(arg.data());
     argv.push_back(nullptr);
-    const int rc = posix_spawn(&pid_, binary.c_str(), &actions, nullptr,
-                               argv.data(), environ);
-    posix_spawn_file_actions_destroy(&actions);
-    if (rc != 0) {
-      pid_ = -1;
-      fail_start("cannot start " + binary + ": " + std::strerror(rc));
+    pid_ = fork();
+    if (pid_ < 0) fail_start(std::string("fork: ") + std::strerror(errno));
+    if (pid_ == 0) {
+      // Only async-signal-safe calls until exec.  The daemon dies with the
+      // harness, so a killed run leaves no server behind.
+      prctl(PR_SET_PDEATHSIG, SIGKILL);
+      const int fd = open(out.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+      if (fd < 0 || dup2(fd, STDOUT_FILENO) < 0) _exit(127);
+      execv(binary.c_str(), argv.data());
+      _exit(127);
     }
     // The daemon prints "clktune: serving on 127.0.0.1:<port>" once bound.
     const std::string marker = "serving on 127.0.0.1:";
