@@ -1,8 +1,9 @@
 // Microbenchmarks of the optimisation substrate: bounded-variable simplex,
-// branch & bound, difference-constraint feasibility (one-shot and
-// workspace-reuse), and the per-sample solver end to end — both the engine
-// hot path (cached constants + reusable workspace) and the from-scratch
-// path (sampler draw + quantize + solve) it replaced.
+// branch & bound, difference-constraint feasibility (one-shot on feasible
+// and infeasible systems, and workspace-reuse), and the per-sample solver
+// end to end — both the engine hot path (cached constants + reusable
+// workspace) and the from-scratch path (sampler draw + quantize + solve) it
+// replaced.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -82,6 +83,27 @@ void BM_DiffConstraintFeasibility(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DiffConstraintFeasibility)->Arg(32)->Arg(256);
+
+// The infeasible path, which every chip no plan can rescue takes in the
+// yield check: one ring through all n nodes whose only nonzero edge weighs
+// -1, plus 3n chords of weight 1..20.
+void BM_DiffConstraintNegativeCycle(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  util::SplitMix64 rng(5);
+  feas::DiffConstraints sys(n);
+  for (int v = 0; v < n; ++v) sys.add((v + 1) % n, v, v == 0 ? -1 : 0);
+  for (int e = 0; e < 3 * n; ++e) {
+    const int u = static_cast<int>(rng.next_below(n));
+    const int v = static_cast<int>(rng.next_below(n));
+    if (u != v)
+      sys.add(u, v, 1 + static_cast<std::int64_t>(rng.next_below(20)));
+  }
+  if (sys.feasible()) state.SkipWithError("system must be infeasible");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sys.feasible());
+  }
+}
+BENCHMARK(BM_DiffConstraintNegativeCycle)->Arg(256)->Arg(4096);
 
 // Full build-solve cycle on a reused workspace: reset + adds + solve, the
 // shape of the greedy oracle and yield-check inner loops.

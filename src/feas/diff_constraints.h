@@ -1,5 +1,6 @@
 // Difference-constraint feasibility via SPFA (queue-based Bellman-Ford)
-// negative-cycle detection.
+// with exact negative-cycle detection by Tarjan's subtree disassembly (see
+// feas/spfa.h).
 //
 // A system of constraints  x_u - x_v <= w  is feasible iff its constraint
 // graph (edge v -> u with weight w) has no negative cycle; shortest-path
@@ -8,12 +9,20 @@
 // exist whenever real ones do — which is why flooring the timing constants
 // to the buffer-step grid preserves exactness for the discrete tunings.
 //
+// The verdict is exact for any edge multiset, including parallel
+// constraints, zero-weight cycles and self-constraints x_u - x_u <= w
+// (infeasible iff w < 0: a negative self-loop).  The detector keeps the
+// shortest-path tree's edges tight, skips nodes detached from it, and
+// reports a cycle only when a relaxation would close one, so an infeasible
+// system costs about as much as a feasible one.  A feasible system yields
+// the exact shortest-path potentials from the all-zero start.
+//
 // The object is a reusable workspace: reset() rewinds it in O(1) amortised
 // time via epoch stamping (per-node adjacency heads are lazily invalidated,
 // the edge pool keeps its capacity), and solve_inplace() reuses internal
-// SPFA scratch (distance/queue arrays, a ring-buffer queue), so the
-// steady-state Monte-Carlo inner loops that build one small system per
-// sample perform zero heap allocations.  Results are independent of
+// SPFA scratch (distances, a ring-buffer queue, the tree's preorder thread),
+// so the steady-state Monte-Carlo inner loops that build one small system
+// per sample perform zero heap allocations.  Results are independent of
 // workspace history: a system solved from a dirty workspace yields exactly
 // the potentials a fresh object would (shortest-path distances are unique),
 // including after a negative-cycle bailout.

@@ -242,9 +242,21 @@ class Parser {
 
   Json parse_value() {
     skip_ws();
-    switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+    const char c = peek();
+    if (c == '{' || c == '[') {
+      // Each level costs a few stack frames of recursive descent; the
+      // limit keeps a hostile document from overflowing the stack.
+      if (depth_ == kMaxDepth) {
+        std::string msg("containers nested deeper than ");
+        msg += std::to_string(kMaxDepth);
+        fail(msg);
+      }
+      ++depth_;
+      Json v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
+    switch (c) {
       case '"': return Json(parse_string());
       case 't': expect_word("true"); return Json(true);
       case 'f': expect_word("false"); return Json(false);
@@ -406,8 +418,12 @@ class Parser {
     return Json(value);
   }
 
+  /// Far above the nesting of any document clktune writes.
+  static constexpr int kMaxDepth = 512;
+
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< containers open at pos_
 };
 
 }  // namespace

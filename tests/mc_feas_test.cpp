@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <vector>
 
 #include "feas/diff_constraints.h"
 #include "feas/tuning_plan.h"
@@ -141,12 +143,18 @@ TEST(DiffConstraintsTest, NegativeCycleInfeasible) {
   sys.add(1, 0, 3);
   sys.add(0, 1, -4);  // x0 - x1 <= -4 and x1 - x0 <= 3 -> cycle weight -1
   EXPECT_FALSE(sys.feasible());
+
+  DiffConstraints self_loop(2);
+  self_loop.add(1, 0, 3);
+  self_loop.add(1, 1, -1);  // x1 - x1 <= -1
+  EXPECT_FALSE(self_loop.feasible());
 }
 
 TEST(DiffConstraintsTest, ZeroCycleFeasible) {
   DiffConstraints sys(2);
   sys.add(1, 0, 3);
   sys.add(0, 1, -3);
+  sys.add(1, 1, 0);  // x1 - x1 <= 0
   EXPECT_TRUE(sys.feasible());
 }
 
@@ -158,34 +166,90 @@ TEST(DiffConstraintsTest, AllZeroWhenUnconstrained) {
   for (std::int64_t v : *sol) EXPECT_LE(v, 0);  // potentials start at 0
 }
 
-TEST(DiffConstraintsTest, RandomSystemsSelfConsistent) {
-  util::SplitMix64 rng(31337);
-  for (int trial = 0; trial < 200; ++trial) {
-    const int n = 2 + static_cast<int>(rng.next_below(6));
-    DiffConstraints sys(n);
-    struct E {
-      int u, v;
-      std::int64_t w;
-    };
-    std::vector<E> edges;
-    const int m = 1 + static_cast<int>(rng.next_below(12));
-    for (int e = 0; e < m; ++e) {
-      const int u = static_cast<int>(rng.next_below(n));
-      const int v = static_cast<int>(rng.next_below(n));
-      if (u == v) continue;
-      const auto w =
-          static_cast<std::int64_t>(rng.next_below(17)) - 8;
-      sys.add(u, v, w);
-      edges.push_back({u, v, w});
+TEST(DiffConstraintsTest, ParallelConstraintsKeepTheTightest) {
+  // Scanned loosest first, so x1 improves once per constraint.
+  DiffConstraints sys(2);
+  sys.add(1, 0, -3);
+  sys.add(1, 0, -2);
+  sys.add(1, 0, -1);
+  const auto sol = sys.solve();
+  ASSERT_TRUE(sol.has_value());
+  EXPECT_EQ((*sol)[1] - (*sol)[0], -3);
+}
+
+namespace {
+
+struct Constraint {
+  int u, v;  ///< x_u - x_v <= w
+  std::int64_t w;
+};
+
+// Textbook Bellman-Ford from all-zero potentials: n full passes over every
+// constraint; an improvement still possible after them means a negative
+// cycle.
+std::optional<std::vector<std::int64_t>> bellman_ford(
+    int n, const std::vector<Constraint>& cs) {
+  std::vector<std::int64_t> x(static_cast<std::size_t>(n), 0);
+  const auto relax = [&] {
+    bool changed = false;
+    for (const Constraint& c : cs) {
+      const std::int64_t bound = x[static_cast<std::size_t>(c.v)] + c.w;
+      if (bound < x[static_cast<std::size_t>(c.u)]) {
+        x[static_cast<std::size_t>(c.u)] = bound;
+        changed = true;
+      }
     }
-    const auto sol = sys.solve();
-    if (sol.has_value()) {
-      for (const E& e : edges)
-        EXPECT_LE((*sol)[static_cast<std::size_t>(e.u)] -
-                      (*sol)[static_cast<std::size_t>(e.v)],
-                  e.w);
+    return changed;
+  };
+  for (int pass = 0; pass < n; ++pass) relax();
+  if (relax()) return std::nullopt;
+  return x;
+}
+
+}  // namespace
+
+TEST(DiffConstraintsTest, RandomSystemsMatchBellmanFordOracle) {
+  util::SplitMix64 rng(31337);
+  DiffConstraints sys;  // one workspace: every solve starts from a dirty one
+  int feasible = 0;
+  int infeasible = 0;
+  for (int trial = 0; trial < 10000; ++trial) {
+    const int n = 1 + static_cast<int>(rng.next_below(40));
+    sys.reset(n);
+    std::vector<Constraint> cs;
+    const auto add = [&](int u, int v, std::int64_t w) {
+      sys.add(u, v, w);
+      cs.push_back({u, v, w});
+    };
+    const int m = static_cast<int>(rng.next_below(3 * n + 2));
+    for (int e = 0; e < m; ++e) {
+      const int u = static_cast<int>(rng.next_below(n));  // u == v allowed
+      const int v = static_cast<int>(rng.next_below(n));
+      const auto w = static_cast<std::int64_t>(rng.next_below(21)) - 6;
+      add(u, v, w);
+      switch (rng.next_below(8)) {
+        case 0:  // parallel constraints, loosening in insertion order
+          for (std::int64_t k = 1; k <= 3; ++k) add(u, v, w + k);
+          break;
+        case 1:  // a zero-weight cycle
+          add(v, u, -w);
+          break;
+        default:
+          break;
+      }
+    }
+    const auto expected = bellman_ford(n, cs);
+    const auto got = sys.solve();
+    ASSERT_EQ(got.has_value(), expected.has_value()) << "trial " << trial;
+    if (expected.has_value()) {
+      EXPECT_EQ(*got, *expected) << "trial " << trial;
+      ++feasible;
+    } else {
+      ++infeasible;
     }
   }
+  EXPECT_GT(feasible, 500);
+  EXPECT_GT(infeasible, 500);
 }
 
 // ---------------------------- yield evaluation -----------------------------

@@ -87,6 +87,11 @@ TEST(JsonTest, RejectsMalformedDocuments) {
   EXPECT_THROW(Json::parse("\"bad\\q\""), JsonError);
   EXPECT_THROW(Json::parse("[1] trailing"), JsonError);
   EXPECT_THROW(Json::parse("{\"a\":1,\"a\":2}"), JsonError);
+  // Nesting is capped at 512 containers, so depth cannot exhaust the stack.
+  EXPECT_THROW(Json::parse(std::string(100000, '[')), JsonError);
+  EXPECT_THROW(Json::parse(std::string(513, '[') + std::string(513, ']')),
+               JsonError);
+  EXPECT_NO_THROW(Json::parse(std::string(512, '[') + std::string(512, ']')));
 }
 
 TEST(JsonTest, ErrorsCarryLineAndColumn) {

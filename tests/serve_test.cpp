@@ -153,6 +153,15 @@ TEST_F(ServerFixture, MalformedAndInvalidRequestsReportErrors) {
   std::string line;
   ASSERT_TRUE(reader.read_line(line));
   EXPECT_EQ(Json::parse(line).at("event").as_string(), "error");
+
+  // Pathological nesting gets an error frame too, and the daemon survives.
+  const util::TcpSocket deep = util::tcp_connect("127.0.0.1", server_->port());
+  util::tcp_write_all(deep, std::string(100000, '[') + "\n");
+  util::LineReader deep_reader(deep);
+  ASSERT_TRUE(deep_reader.read_line(line));
+  EXPECT_EQ(Json::parse(line).at("event").as_string(), "error");
+  EXPECT_EQ(submit("status", Json()).final_event.at("event").as_string(),
+            "status");
 }
 
 TEST_F(ServerFixture, ShutdownRequestStopsTheAcceptLoop) {
