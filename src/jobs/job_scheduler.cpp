@@ -120,6 +120,7 @@ void JobScheduler::stop() {
     stopping_.store(true);
   }
   queue_ready_.notify_all();
+  watchdog_wake_.notify_all();
   // Close every live attach before joining: attach loops block on
   // subscription queues, not sockets, so this is what unblocks them.
   {
@@ -221,7 +222,7 @@ void JobScheduler::watchdog_loop() {
       std::chrono::milliseconds(std::max(options_.stall_timeout_ms / 4, 10));
   std::unique_lock<std::mutex> lock(queue_mutex_);
   while (!stopping_.load()) {
-    queue_ready_.wait_for(lock, interval);
+    watchdog_wake_.wait_for(lock, interval);
     if (stopping_.load()) return;
     const std::uint64_t now = obs::steady_now_ns();
     std::vector<std::string> stalled;

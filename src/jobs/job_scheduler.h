@@ -141,7 +141,11 @@ class JobScheduler {
   JobSchedulerOptions options_;
 
   std::mutex queue_mutex_;
+  /// Workers wait here for a claimable job.  Only workers: submit() wakes
+  /// one waiter, which must be a worker for the job to run.
   std::condition_variable queue_ready_;
+  /// The watchdog's own wake-up, for stop().
+  std::condition_variable watchdog_wake_;
   bool started_ = false;
   std::atomic<bool> stopping_{false};
   std::vector<std::thread> workers_;
