@@ -1,9 +1,9 @@
 // Microbenchmarks of the optimisation substrate: bounded-variable simplex,
 // branch & bound, difference-constraint feasibility (one-shot on feasible
 // and infeasible systems, and workspace-reuse), and the per-sample solver
-// end to end — both the engine hot path (cached constants + reusable
-// workspace) and the from-scratch path (sampler draw + quantize + solve) it
-// replaced.
+// end to end — both the engine hot path (screened violated arcs + memoized
+// constants + reusable workspace) and the dense path (sampler draw +
+// quantize + solve).
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -12,7 +12,7 @@
 #include "feas/diff_constraints.h"
 #include "gbench_json.h"
 #include "lp/simplex.h"
-#include "mc/arc_constants.h"
+#include "mc/arc_screen.h"
 #include "mc/sampler.h"
 #include "milp/branch_and_bound.h"
 #include "netlist/generator.h"
@@ -143,8 +143,9 @@ struct SolverFixture {
   }
 };
 
-// The engine hot path: constants served from the cross-pass cache, solver
-// running on a warm workspace.  One iteration = one sample.
+// The engine hot path: violated arcs screened once per sample (as step 1
+// does for steps 2a/2b), solver running on a warm workspace and reading
+// every other constant through its memo.  One iteration = one sample.
 void BM_PerSampleSolve(benchmark::State& state) {
   static const SolverFixture fx;
   const double tau = fx.t0 / 8.0;
@@ -153,23 +154,24 @@ void BM_PerSampleSolve(benchmark::State& state) {
       fx.graph, tau / 20.0, fx.t0,
       core::CandidateWindows::floating(fx.graph.num_ffs, 20));
   const mc::Sampler sampler(fx.graph, 99);
-  mc::SampleConstantCache cache(sampler, fx.t0, tau / 20.0, window,
-                                1ull << 30);
-  mc::ArcConstants scratch;
-  for (std::uint64_t k = 0; k < window; ++k) cache.fill(k, scratch);
+  const mc::ArcScreen screen(sampler, fx.t0, tau / 20.0);
+  std::vector<std::vector<int>> violated(window);
+  for (std::uint64_t k = 0; k < window; ++k)
+    screen.violated_arcs(k, violated[k]);
   core::SolveWorkspace ws;
   std::uint64_t k = 0;
   for (auto _ : state) {
+    const std::uint64_t sample = k++ % window;
     const core::SampleSolution sol =
-        solver.solve(cache.get(k++ % window, scratch),
+        solver.solve(screen, sample, violated[sample],
                      core::ConcentrateMode::toward_zero, nullptr, ws);
     benchmark::DoNotOptimize(sol.nk);
   }
 }
 BENCHMARK(BM_PerSampleSolve);
 
-// The pre-cache shape: every sample pays a sampler draw and a quantize
-// pass before the solve (what steps 2a/2b used to cost).
+// The dense shape: every sample pays a full sampler draw and a quantize
+// pass before the solve.
 void BM_PerSampleSolveFromScratch(benchmark::State& state) {
   static const SolverFixture fx;
   const double tau = fx.t0 / 8.0;

@@ -6,7 +6,7 @@
 #include <numeric>
 
 #include "core/sample_solver.h"
-#include "mc/arc_constants.h"
+#include "mc/arc_screen.h"
 #include "mc/sampler.h"
 #include "netlist/nominal_sta.h"
 #include "util/assert.h"
@@ -26,11 +26,14 @@ struct PassOutput {
   PhaseDiagnostics diag;
 };
 
-PassOutput run_pass(const ssta::SeqGraph& graph,
-                    mc::SampleConstantCache& cache, bool first_pass,
+/// One solve per sample.  The first pass screens every sample into
+/// `violated` (its violated arcs, ascending); later passes reuse the lists,
+/// which hold for every pass because all three share the screen's sampler,
+/// period and step grid.
+PassOutput run_pass(const mc::ArcScreen& screen,
+                    std::vector<std::vector<int>>& violated, bool first_pass,
                     std::uint64_t samples, const CandidateWindows& windows,
-                    double step_ps, double clock_period, ConcentrateMode mode,
-                    const std::vector<double>* targets,
+                    ConcentrateMode mode, const std::vector<double>* targets,
                     const InsertionConfig& config, bool keep_mincount) {
   PassOutput out;
   out.solutions.resize(samples);
@@ -38,7 +41,8 @@ PassOutput run_pass(const ssta::SeqGraph& graph,
   out.nk.assign(samples, 0);
   out.fixable.assign(samples, 1);
 
-  const SampleSolver solver(graph, step_ps, clock_period, windows,
+  const SampleSolver solver(screen.sampler().graph(), screen.step_ps(),
+                            screen.clock_period_ps(), windows,
                             config.milp_max_nodes);
   const std::size_t workers = util::resolve_thread_count(
       config.threads <= 0 ? 0 : static_cast<std::size_t>(config.threads));
@@ -47,17 +51,13 @@ PassOutput run_pass(const ssta::SeqGraph& graph,
   // Strided scheduling: failing samples (the expensive ones) cluster, and
   // interleaving spreads them across workers.  All per-sample outputs are
   // written to sample-indexed slots, so the result is schedule-independent.
-  // The first pass derives every sample's quantized arc constants (storing
-  // them when the cache fits its byte budget); later passes reuse them —
-  // concurrent fill() calls touch disjoint per-sample slices.
   util::parallel_strided(
       static_cast<std::size_t>(samples), workers,
       [&](std::size_t w, std::size_t k) {
-        thread_local mc::ArcConstants scratch;  // per-worker scratch
         thread_local SolveWorkspace ws;
-        const mc::ArcConstantsView constants =
-            first_pass ? cache.fill(k, scratch) : cache.get(k, scratch);
-        SampleSolution sol = solver.solve(constants, mode, targets, ws);
+        if (first_pass) screen.violated_arcs(k, violated[k]);
+        SampleSolution sol =
+            solver.solve(screen, k, violated[k], mode, targets, ws);
         PhaseDiagnostics& d = diags[w];
         d.milps_solved += static_cast<std::uint64_t>(sol.milps_solved);
         d.milp_nodes += static_cast<std::uint64_t>(sol.milp_nodes);
@@ -109,11 +109,8 @@ InsertionResult BufferInsertionEngine::run() {
   res.plan.reset_groups();
 
   const mc::Sampler sampler(*graph_, config_.sample_seed);
-  // All three passes see identical per-sample constants (same sampler, T
-  // and step grid), so step 1 computes them once and steps 2a/2b reuse.
-  mc::SampleConstantCache cache(
-      sampler, clock_period_, step_ps_, samples,
-      config_.enable_sample_cache ? config_.sample_cache_max_bytes : 0);
+  const mc::ArcScreen screen(sampler, clock_period_, step_ps_);
+  std::vector<std::vector<int>> violated(samples);
 
   // ------------------- step 1: floating lower bounds ----------------------
   util::Stopwatch sw1;
@@ -122,8 +119,8 @@ InsertionResult BufferInsertionEngine::run() {
   const ConcentrateMode mode1 = config_.enable_concentration
                                     ? ConcentrateMode::toward_zero
                                     : ConcentrateMode::none;
-  PassOutput p1 = run_pass(*graph_, cache, true, samples, floating, step_ps_,
-                           clock_period_, mode1, nullptr, config_, true);
+  PassOutput p1 = run_pass(screen, violated, true, samples, floating, mode1,
+                           nullptr, config_, true);
   res.step1 = p1.diag;
   res.step1.seconds = sw1.seconds();
 
@@ -204,9 +201,8 @@ InsertionResult BufferInsertionEngine::run() {
   PassOutput p2a;
   if (!res.step2a_skipped) {
     util::Stopwatch sw;
-    p2a = run_pass(*graph_, cache, false, samples, fixed, step_ps_,
-                   clock_period_, ConcentrateMode::none, nullptr, config_,
-                   false);
+    p2a = run_pass(screen, violated, false, samples, fixed,
+                   ConcentrateMode::none, nullptr, config_, false);
     res.step2a = p2a.diag;
     res.step2a.seconds = sw.seconds();
   } else {
@@ -258,8 +254,8 @@ InsertionResult BufferInsertionEngine::run() {
   const ConcentrateMode mode2 = config_.enable_concentration
                                     ? ConcentrateMode::toward_target
                                     : ConcentrateMode::none;
-  PassOutput p2b = run_pass(*graph_, cache, false, samples, fixed, step_ps_,
-                            clock_period_, mode2, &targets, config_, false);
+  PassOutput p2b = run_pass(screen, violated, false, samples, fixed, mode2,
+                            &targets, config_, false);
   res.step2b = p2b.diag;
   res.step2b.seconds = sw2b.seconds();
 

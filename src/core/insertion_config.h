@@ -50,16 +50,6 @@ struct InsertionConfig {
   /// any thread count.
   int threads = 0;
 
-  /// Cross-pass sample-constant cache: step 1 quantizes every sample's arc
-  /// constants once and steps 2a/2b reuse them instead of re-deriving
-  /// (sampler + floor) per pass.  Purely an execution detail — results are
-  /// bit-identical with the cache on, off, or overflowing.
-  bool enable_sample_cache = true;
-  /// Byte budget for the cache (2 * int32 * samples * arcs).  Runs whose
-  /// constants would not fit fall back to streaming (recompute per pass),
-  /// so million-sample campaigns run in bounded memory.
-  std::uint64_t sample_cache_max_bytes = 512ull << 20;
-
   /// Branch & bound node budget per per-sample ILP.
   long milp_max_nodes = 50000;
 

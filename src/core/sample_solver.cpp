@@ -90,12 +90,9 @@ using Component = SolveWorkspace::Component;
 // actually touched this sample are (re)written.
 struct SampleSolver::WorkingModel {
   const SampleSolver& solver;
-  const mc::ArcConstantsView& constants;
   SolveWorkspace& ws;
 
-  WorkingModel(const SampleSolver& s, const mc::ArcConstantsView& c,
-               SolveWorkspace& w)
-      : solver(s), constants(c), ws(w) {
+  WorkingModel(const SampleSolver& s, SolveWorkspace& w) : solver(s), ws(w) {
     ++ws.epoch;
     const std::size_t num_arcs = s.graph_->arcs.size();
     const auto num_ffs = static_cast<std::size_t>(s.graph_->num_ffs);
@@ -114,10 +111,10 @@ struct SampleSolver::WorkingModel {
   }
 
   std::int64_t setup(int e) const {
-    return constants.setup_steps[static_cast<std::size_t>(e)];
+    return ws.memo.setup(static_cast<std::size_t>(e));
   }
   std::int64_t hold(int e) const {
-    return constants.hold_steps[static_cast<std::size_t>(e)];
+    return ws.memo.hold(static_cast<std::size_t>(e));
   }
 
   bool in_model(int e) const {
@@ -496,27 +493,42 @@ SampleSolution SampleSolver::solve(const mc::ArcSample& arc_sample,
   thread_local SolveWorkspace tls_ws;
   mc::quantize_arc_constants(*graph_, arc_sample, clock_period_, step_ps_,
                              tls_ws.constants);
-  return solve(mc::view_of(tls_ws.constants), mode, targets, tls_ws);
+  const mc::ArcConstants& c = tls_ws.constants;
+  tls_ws.violated.clear();
+  for (std::size_t e = 0; e < c.setup_steps.size(); ++e)
+    if (c.setup_steps[e] < 0 || c.hold_steps[e] < 0)
+      tls_ws.violated.push_back(static_cast<int>(e));
+  tls_ws.memo.begin(c);
+  return solve_sample(tls_ws.violated, mode, targets, tls_ws);
 }
 
-SampleSolution SampleSolver::solve(const mc::ArcConstantsView& constants,
+SampleSolution SampleSolver::solve(const mc::ArcScreen& screen,
+                                   std::uint64_t k,
+                                   std::span<const int> violated,
                                    ConcentrateMode mode,
                                    const std::vector<double>* targets,
                                    SolveWorkspace& ws) const {
+  CLKTUNE_EXPECTS(&screen.sampler().graph() == graph_ &&
+                  screen.clock_period_ps() == clock_period_ &&
+                  screen.step_ps() == step_ps_);
+  ws.memo.begin(screen, k);
+  return solve_sample(violated, mode, targets, ws);
+}
+
+SampleSolution SampleSolver::solve_sample(std::span<const int> violated,
+                                          ConcentrateMode mode,
+                                          const std::vector<double>* targets,
+                                          SolveWorkspace& ws) const {
   CLKTUNE_EXPECTS(mode != ConcentrateMode::toward_target ||
                   targets != nullptr);
   const ssta::SeqGraph& g = *graph_;
-  CLKTUNE_EXPECTS(constants.num_arcs == g.arcs.size());
   SampleSolution out;
 
-  WorkingModel wm(*this, constants, ws);
+  WorkingModel wm(*this, ws);
 
-  // Seed the working model with all violated arcs.
-  bool any = false;
-  for (std::size_t e = 0; e < g.arcs.size(); ++e) {
-    if (constants.setup_steps[e] >= 0 && constants.hold_steps[e] >= 0)
-      continue;
-    const ssta::SeqArc& arc = g.arcs[e];
+  // Seed the working model with the violated arcs, in ascending order.
+  for (const int e : violated) {
+    const ssta::SeqArc& arc = g.arcs[static_cast<std::size_t>(e)];
     const bool tunable =
         arc.src_ff != arc.dst_ff &&
         (windows_.candidate[static_cast<std::size_t>(arc.src_ff)] ||
@@ -525,11 +537,10 @@ SampleSolution SampleSolver::solve(const mc::ArcConstantsView& constants,
       out.fixable = false;  // failing arc that no buffer can influence
       return out;
     }
-    wm.add_arc(static_cast<int>(e));
-    wm.mark_violated(static_cast<int>(e));
-    any = true;
+    wm.add_arc(e);
+    wm.mark_violated(e);
   }
-  if (!any) return out;  // chip meets timing untouched: n_k = 0
+  if (violated.empty()) return out;  // chip meets timing untouched: n_k = 0
 
   milp::Options milp_opt;
   milp_opt.max_nodes = milp_max_nodes_;

@@ -15,22 +15,27 @@
 //    (Bellman-Ford) grows a buffer set greedily; the resulting incumbent
 //    lets branch & bound prune aggressively from the first node.
 //
-// The hot entry point consumes precomputed quantized constants
-// (mc::ArcConstantsView, usually from the engine's cross-pass cache) plus a
-// caller-owned SolveWorkspace.  The workspace holds every per-sample
-// scratch structure — working-model flags reset in O(active) via epoch
-// stamping, pooled component/greedy vectors, a reusable
-// difference-constraint system — so solving a sample that meets timing (or
-// is rescued without a MILP) performs zero heap allocations in steady
-// state, beyond the vectors owned by the returned solution.
+// The hot entry point takes one sample as (mc::ArcScreen, k, violated
+// arcs), the violated list from ArcScreen::violated_arcs, plus a
+// caller-owned SolveWorkspace.  The working model is seeded from the list;
+// every other constant the solve reads (incident arcs, verification,
+// MILP rows) comes from the workspace's mc::ArcConstantMemo, computed
+// exactly on first touch, so a sample costs only the arcs it reads.  The
+// workspace holds every per-sample scratch structure — working-model flags
+// reset in O(active) via epoch stamping, pooled component/greedy vectors,
+// a reusable difference-constraint system — so solving a sample that meets
+// timing (or is rescued without a MILP) performs zero heap allocations in
+// steady state, beyond the vectors owned by the returned solution.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "feas/diff_constraints.h"
 #include "mc/arc_constants.h"
+#include "mc/arc_screen.h"
 #include "mc/sampler.h"
 #include "milp/branch_and_bound.h"
 #include "ssta/seq_graph.h"
@@ -123,8 +128,12 @@ struct SolveWorkspace {
   std::vector<int> fresh;
   std::vector<std::pair<int, int>> mincount_acc;
 
-  // Constants scratch for the ArcSample convenience overload.
+  /// The sample's constants, exact on first touch.
+  mc::ArcConstantMemo memo;
+
+  // Dense scratch for the ArcSample convenience overload.
   mc::ArcConstants constants;
+  std::vector<int> violated;
 };
 
 class SampleSolver {
@@ -133,16 +142,18 @@ class SampleSolver {
                double clock_period_ps, CandidateWindows windows,
                long milp_max_nodes = 50000);
 
-  /// Solves one sample from precomputed quantized constants — the hot path.
+  /// Solves sample k of `screen` (built for this solver's graph, period
+  /// and step), given its violated arcs in ascending order — the hot path.
   /// `targets` (step units, indexed by ff) is required for
   /// ConcentrateMode::toward_target.
-  SampleSolution solve(const mc::ArcConstantsView& constants,
-                       ConcentrateMode mode,
+  SampleSolution solve(const mc::ArcScreen& screen, std::uint64_t k,
+                       std::span<const int> violated, ConcentrateMode mode,
                        const std::vector<double>* targets,
                        SolveWorkspace& ws) const;
 
-  /// Convenience overload: quantizes `arc_sample` first (thread-local
-  /// workspace).  Prefer the view overload in loops.
+  /// Convenience overload: quantizes every arc of `arc_sample` first
+  /// (thread-local workspace) — the dense reference.  Prefer the screened
+  /// overload in loops.
   SampleSolution solve(const mc::ArcSample& arc_sample, ConcentrateMode mode,
                        const std::vector<double>* targets = nullptr) const;
 
@@ -159,6 +170,12 @@ class SampleSolver {
 
  private:
   struct WorkingModel;
+
+  /// Solves the sample whose constants `ws.memo` serves.
+  SampleSolution solve_sample(std::span<const int> violated,
+                              ConcentrateMode mode,
+                              const std::vector<double>* targets,
+                              SolveWorkspace& ws) const;
 
   const ssta::SeqGraph* graph_;
   double step_ps_;

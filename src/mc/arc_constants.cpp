@@ -20,29 +20,4 @@ void quantize_arc_constants(const ssta::SeqGraph& graph,
   }
 }
 
-std::size_t ConstantCacheTraits::num_arcs() const {
-  return sampler->graph().arcs.size();
-}
-
-void ConstantCacheTraits::compute(std::uint64_t k, std::int32_t* setup,
-                                  std::int32_t* hold) const {
-  sampler->evaluate_constants(k, clock_period_ps, step_ps, setup, hold);
-}
-
-ArcConstantsView ConstantCacheTraits::compute_scratch(std::uint64_t k,
-                                                      ArcConstants& s) const {
-  s.resize(num_arcs());
-  sampler->evaluate_constants(k, clock_period_ps, step_ps,
-                              s.setup_steps.data(), s.hold_steps.data());
-  return view_of(s);
-}
-
-SampleConstantCache::SampleConstantCache(const Sampler& sampler,
-                                         double clock_period_ps,
-                                         double step_ps,
-                                         std::uint64_t samples,
-                                         std::uint64_t max_bytes)
-    : impl_(ConstantCacheTraits{&sampler, clock_period_ps, step_ps}, samples,
-            max_bytes) {}
-
 }  // namespace clktune::mc

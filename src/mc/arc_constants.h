@@ -8,25 +8,23 @@
 //   hold:   x_j - x_i <= hold_steps[e]
 //
 // derived from the realised arc delays by flooring onto the buffer-step
-// grid.  This header centralises that derivation (one quantizer, one
-// epsilon) and provides a cross-pass cache so a sample's constants are
-// computed exactly once per insertion run instead of once per pass.
+// grid.  This header centralises that derivation (one slack formula, one
+// quantizer, one epsilon).  evaluate() followed by quantize_arc_constants()
+// is the dense reference; the insertion flow reads the same values sparsely
+// through mc::ArcScreen (mc/arc_screen.h).
 //
-// Constants are stored structure-of-arrays as int32 (magnitudes are bounded
-// by clock period / step, a few thousand), halving the footprint of the
-// former int64 representation and keeping a 10k-sample cache line-friendly.
+// Constants are int32: magnitudes are bounded by clock period / step, a few
+// thousand.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
 #include <vector>
 
-#include "mc/sample_cache.h"
 #include "ssta/seq_graph.h"
 
 namespace clktune::mc {
 
-class Sampler;
 struct ArcSample;
 
 /// Grid quantizer shared by the sample solver and the yield evaluator:
@@ -42,7 +40,7 @@ inline std::int32_t floor_steps(double value_ps, double step_ps) {
 
 /// Raw (unquantized) constraint constants of one arc given its realised
 /// delays — the single source of the setup/hold slack formula that every
-/// consumer (solver quantization, yield sign tests, fused kernel) either
+/// consumer (solver quantization, yield sign tests, the arc screen) either
 /// floors or sign-tests.  Term order is part of the contract: reordering
 /// changes double rounding and breaks bit-identical reuse.
 inline void arc_slack(const ssta::SeqGraph& g, std::size_t e, double late,
@@ -69,76 +67,11 @@ struct ArcConstants {
   }
 };
 
-/// Borrowed view of one sample's constants — either into the cross-pass
-/// cache or into a caller-owned scratch buffer.
-struct ArcConstantsView {
-  const std::int32_t* setup_steps = nullptr;
-  const std::int32_t* hold_steps = nullptr;
-  std::size_t num_arcs = 0;
-};
-
-inline ArcConstantsView view_of(const ArcConstants& c) {
-  return {c.setup_steps.data(), c.hold_steps.data(), c.setup_steps.size()};
-}
-
 /// Quantizes already-realised arc delays.  Arithmetic matches the historic
 /// solver/yield formulas term for term, so results are bit-identical to the
 /// previous per-call derivations.
 void quantize_arc_constants(const ssta::SeqGraph& graph,
                             const ArcSample& sample, double clock_period_ps,
                             double step_ps, ArcConstants& out);
-
-/// Kernel traits of the cross-pass constant cache (see SampleSliceCache
-/// for the fill/get protocol).  Out-of-line definitions keep Sampler an
-/// incomplete type here.
-struct ConstantCacheTraits {
-  using Elem = std::int32_t;
-  using View = ArcConstantsView;
-  using Scratch = ArcConstants;
-
-  const Sampler* sampler = nullptr;
-  double clock_period_ps = 0.0;
-  double step_ps = 0.0;
-
-  std::size_t num_arcs() const;
-  void compute(std::uint64_t k, std::int32_t* setup,
-               std::int32_t* hold) const;
-  ArcConstantsView compute_scratch(std::uint64_t k, ArcConstants& s) const;
-  ArcConstantsView view(const std::int32_t* setup, const std::int32_t* hold,
-                        std::size_t n) const {
-    return {setup, hold, n};
-  }
-};
-
-/// Cross-pass sample-constant cache.  The first pass calls fill(k) for every
-/// sample (computing with the fused sampler kernel and storing when the
-/// whole run fits in `max_bytes`); later passes call get(k), which is a
-/// pointer lookup when cached and a recomputation in streaming mode.
-class SampleConstantCache {
- public:
-  /// max_bytes == 0 disables caching outright (always stream).
-  SampleConstantCache(const Sampler& sampler, double clock_period_ps,
-                      double step_ps, std::uint64_t samples,
-                      std::uint64_t max_bytes);
-
-  bool caching() const { return impl_.caching(); }
-  std::uint64_t samples() const { return impl_.samples(); }
-  std::uint64_t bytes() const { return impl_.bytes(); }
-  static std::uint64_t required_bytes(std::uint64_t samples,
-                                      std::size_t num_arcs) {
-    return SampleSliceCache<ConstantCacheTraits>::required_bytes(samples,
-                                                                 num_arcs);
-  }
-
-  ArcConstantsView fill(std::uint64_t k, ArcConstants& scratch) {
-    return impl_.fill(k, scratch);
-  }
-  ArcConstantsView get(std::uint64_t k, ArcConstants& scratch) const {
-    return impl_.get(k, scratch);
-  }
-
- private:
-  SampleSliceCache<ConstantCacheTraits> impl_;
-};
 
 }  // namespace clktune::mc

@@ -6,14 +6,13 @@
 // sampler (original vs tuned vs baseline yield, or one plan at several
 // clock settings) therefore re-derives identical delays once per
 // evaluation.  This cache stores them once — SoA double arrays, one slice
-// per sample — on the shared SampleSliceCache protocol (byte budget,
-// streaming fallback, per-slot fill tracking).
+// per sample — under a byte budget, with a streaming fallback for runs
+// that would not fit and per-slot fill tracking, so a read of a
+// never-filled slot fails loudly instead of silently returning zeros.
 #pragma once
 
 #include <cstdint>
 #include <vector>
-
-#include "mc/sample_cache.h"
 
 namespace clktune::mc {
 
@@ -27,52 +26,42 @@ struct ArcDelaysView {
   std::size_t num_arcs = 0;
 };
 
-/// Kernel traits of the delay cache (see SampleSliceCache for the fill/get
-/// protocol).  Out-of-line definitions keep Sampler incomplete here.
-struct DelayCacheTraits {
-  using Elem = double;
-  using View = ArcDelaysView;
-  using Scratch = ArcSample;
-
-  const Sampler* sampler = nullptr;
-
-  std::size_t num_arcs() const;
-  void compute(std::uint64_t k, double* dmax, double* dmin) const;
-  ArcDelaysView compute_scratch(std::uint64_t k, ArcSample& s) const;
-  ArcDelaysView view(const double* dmax, const double* dmin,
-                     std::size_t n) const {
-    return {dmax, dmin, n};
-  }
-};
-
 class SampleDelayCache {
  public:
   /// max_bytes == 0 disables caching outright (always stream).
   SampleDelayCache(const Sampler& sampler, std::uint64_t samples,
                    std::uint64_t max_bytes);
 
-  bool caching() const { return impl_.caching(); }
-  std::uint64_t samples() const { return impl_.samples(); }
-  std::uint64_t bytes() const { return impl_.bytes(); }
+  bool caching() const { return caching_; }
+  std::uint64_t samples() const { return samples_; }
+  /// Resident footprint of the slice arrays (0 in streaming mode).
+  std::uint64_t bytes() const {
+    return caching_ ? required_bytes(samples_, num_arcs_) : 0;
+  }
+  /// Footprint a run of this shape would need to cache fully.
   static std::uint64_t required_bytes(std::uint64_t samples,
                                       std::size_t num_arcs) {
-    return SampleSliceCache<DelayCacheTraits>::required_bytes(samples,
-                                                              num_arcs);
+    return 2ull * sizeof(double) * samples * num_arcs;
   }
 
-  /// Fill accessor: compute (and store, when caching) sample k.
-  ArcDelaysView fill(std::uint64_t k, ArcSample& scratch) {
-    return impl_.fill(k, scratch);
-  }
+  /// Fill accessor: compute (and store, when caching) sample k.  May be
+  /// called concurrently for distinct k — each writes a disjoint slice.
+  ArcDelaysView fill(std::uint64_t k, ArcSample& scratch);
   /// Read accessor: cached delays, or recompute into scratch.  Asserts
-  /// slot k was filled — an unfilled slot holds zero delays, which would
+  /// slot k was filled (the fill pass's thread join orders the flag write
+  /// before this read) — an unfilled slot holds zero delays, which would
   /// read as a chip with no path delay at all (a bogus ~100 % pass rate).
-  ArcDelaysView get(std::uint64_t k, ArcSample& scratch) const {
-    return impl_.get(k, scratch);
-  }
+  ArcDelaysView get(std::uint64_t k, ArcSample& scratch) const;
 
  private:
-  SampleSliceCache<DelayCacheTraits> impl_;
+  ArcDelaysView stream(std::uint64_t k, ArcSample& scratch) const;
+
+  const Sampler* sampler_;
+  std::uint64_t samples_;
+  std::size_t num_arcs_;
+  bool caching_;
+  std::vector<double> dmax_, dmin_;  ///< samples_ x num_arcs_, when caching
+  std::vector<char> filled_;         ///< per-sample fill flags, when caching
 };
 
 }  // namespace clktune::mc

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "mc/arc_constants.h"
 #include "ssta/seq_graph.h"
 #include "util/rng.h"
 
@@ -43,14 +42,15 @@ class Sampler {
   void evaluate(std::uint64_t k, ArcSample& out) const;
 
   /// Pointer-based evaluate(): writes into caller-owned arrays of
-  /// graph().arcs.size() entries (cache slices, preallocated scratch).
+  /// graph().arcs.size() entries (delay-cache slices, preallocated scratch).
   void evaluate_into(std::uint64_t k, double* dmax, double* dmin) const;
 
   /// Realised late/early delay of a single arc of sample k, given the
   /// sample's global draws (from globals(k)).  A pure function of
   /// (seed, k, e): evaluating arcs one at a time, in any order or subset,
   /// yields exactly the values evaluate() would store — this is what lets
-  /// the yield evaluator early-exit without materialising an ArcSample.
+  /// the yield evaluator early-exit and mc::ArcScreen compute only the
+  /// arcs it cannot clear, without materialising an ArcSample.
   void arc_delays(std::uint64_t k, std::size_t e,
                   const std::array<double, ssta::kParams>& z, double& late,
                   double& early) const {
@@ -60,16 +60,6 @@ class Sampler {
     late = std::max(late, 0.0);
     early = std::clamp(early, 0.0, late);
   }
-
-  /// Fused kernel: draws sample k and writes the quantized constraint
-  /// constants straight into `setup`/`hold` (each graph().arcs.size() long)
-  /// without materialising the intermediate ArcSample.  Arithmetic is
-  /// identical to evaluate() followed by quantize_arc_constants(), so the
-  /// results are bit-identical — this is the hot path the insertion flow
-  /// and its cross-pass cache run on.
-  void evaluate_constants(std::uint64_t k, double clock_period_ps,
-                          double step_ps, std::int32_t* setup,
-                          std::int32_t* hold) const;
 
   const ssta::SeqGraph& graph() const { return *graph_; }
   std::uint64_t seed() const { return rng_.seed(); }

@@ -183,7 +183,7 @@ void ScenarioServer::serve_forever() {
 
   while (!stop_.load()) {
     util::TcpSocket connection = util::tcp_accept(listener_);
-    if (!connection.valid()) break;  // listener closed by stop()/shutdown
+    if (!connection.valid()) break;  // listener shut down by stop()/drain
     ++connections_;
     ServeMetrics::get().connections.inc();
     bool admitted = false;
@@ -288,13 +288,12 @@ void ScenarioServer::serve_forever() {
 }
 
 void ScenarioServer::close_listener() {
-  const std::lock_guard<std::mutex> lock(listener_mutex_);
-  listener_.close();
+  ::shutdown(listener_.fd(), SHUT_RDWR);
 }
 
 void ScenarioServer::drain() {
   draining_.store(true);
-  // Closing the listener pops the accept loop out of tcp_accept();
+  // Shutting the listener down pops the accept loop out of tcp_accept();
   // serve_forever then runs the grace window before the hard wind-down.
   close_listener();
 }

@@ -162,9 +162,10 @@ class ScenarioServer {
   double uptime_seconds() const;
   /// Registry of fds handlers are blocked on, so stop() can sever them.
   void track_connection(int fd, bool add);
-  /// Serialised listener close: the shutdown verb runs on handler
-  /// threads, so concurrent shutdowns (or shutdown racing stop()) must
-  /// not double-close the listener fd.
+  /// Stops admission from any thread: shuts the listening socket down,
+  /// which wakes the accept loop.  The descriptor itself stays open until
+  /// the destructor, so the accept loop never reads a closed (or reused)
+  /// fd number; shutting down twice is harmless.
   void close_listener();
 
   ServeOptions options_;
@@ -172,7 +173,6 @@ class ScenarioServer {
   /// The async-job service; envelopes live under <cache_dir>/jobs when a
   /// cache directory is configured (in-memory otherwise).
   std::unique_ptr<jobs::JobScheduler> jobs_;
-  std::mutex listener_mutex_;
   util::TcpSocket listener_;
   std::uint16_t port_ = 0;
   std::atomic<bool> stop_{false};

@@ -115,7 +115,7 @@ TcpSocket tcp_accept(const TcpSocket& listener) {
     const int fd = ::accept(listener.fd(), nullptr, nullptr);
     if (fd >= 0) return TcpSocket(fd);
     if (errno == EINTR) continue;
-    return TcpSocket();  // listener closed (EBADF/EINVAL) or fatal
+    return TcpSocket();  // listener shut down (EINVAL), closed (EBADF) or fatal
   }
 }
 

@@ -43,7 +43,7 @@ TcpSocket tcp_listen(std::uint16_t port, int backlog = 16);
 std::uint16_t tcp_local_port(const TcpSocket& socket);
 
 /// Blocks for the next connection; returns an invalid socket when the
-/// listener has been closed (the orderly-shutdown path).
+/// listener has been shut down or closed (the orderly-shutdown path).
 TcpSocket tcp_accept(const TcpSocket& listener);
 
 /// Connects to `host`:`port` (name resolution included).

@@ -1,18 +1,19 @@
-// Tests for the zero-allocation sample kernel and cross-pass constant
-// reuse: DiffConstraints workspace semantics, the shared quantizer, the
-// engine's sample-constant cache toggle, and steady-state allocation
-// counts in the Monte-Carlo inner loops.
+// Tests for the zero-allocation sample kernel and the sparse constant
+// access of the insertion flow: DiffConstraints workspace semantics, the
+// shared quantizer, the arc screen and memo against the dense kernel
+// (evaluate + quantize_arc_constants), and steady-state allocation counts
+// in the Monte-Carlo inner loops.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
-#include "core/engine.h"
-#include "core/report_json.h"
 #include "core/sample_solver.h"
 #include "feas/diff_constraints.h"
 #include "feas/yield_eval.h"
 #include "mc/arc_constants.h"
+#include "mc/arc_screen.h"
 #include "mc/delay_cache.h"
 #include "mc/sampler.h"
 #include "netlist/generator.h"
@@ -128,24 +129,6 @@ struct KernelFixture {
   }
 };
 
-TEST(ArcConstantsTest, FusedKernelMatchesEvaluateThenQuantize) {
-  const KernelFixture fx;
-  const mc::Sampler sampler(fx.graph, 99);
-  const double step = fx.t0 / 160.0;
-
-  mc::ArcSample sample;
-  mc::ArcConstants quantized, fused;
-  fused.resize(fx.graph.arcs.size());
-  for (std::uint64_t k = 0; k < 16; ++k) {
-    sampler.evaluate(k, sample);
-    mc::quantize_arc_constants(fx.graph, sample, fx.t0, step, quantized);
-    sampler.evaluate_constants(k, fx.t0, step, fused.setup_steps.data(),
-                               fused.hold_steps.data());
-    ASSERT_EQ(quantized.setup_steps, fused.setup_steps) << "sample " << k;
-    ASSERT_EQ(quantized.hold_steps, fused.hold_steps) << "sample " << k;
-  }
-}
-
 TEST(ArcConstantsTest, SolverArcConstantsUseSharedQuantizer) {
   const KernelFixture fx;
   const mc::Sampler sampler(fx.graph, 7);
@@ -167,67 +150,150 @@ TEST(ArcConstantsTest, SolverArcConstantsUseSharedQuantizer) {
   }
 }
 
-TEST(ArcConstantsTest, ConstantCacheStreamingMatchesCached) {
-  const KernelFixture fx;
-  const mc::Sampler sampler(fx.graph, 42);
-  const double step = fx.t0 / 160.0;
-  const std::uint64_t n = 8;
+// ------------------------ arc screen and memo ------------------------------
 
-  mc::SampleConstantCache cached(sampler, fx.t0, step, n, 1ull << 30);
-  mc::SampleConstantCache streaming(sampler, fx.t0, step, n, 0);
-  ASSERT_TRUE(cached.caching());
-  ASSERT_FALSE(streaming.caching());
-  EXPECT_GT(cached.bytes(), 0u);
-  EXPECT_EQ(streaming.bytes(), 0u);
-
-  mc::ArcConstants scratch_a, scratch_b;
-  for (std::uint64_t k = 0; k < n; ++k) {
-    const mc::ArcConstantsView a = cached.fill(k, scratch_a);
-    const mc::ArcConstantsView b = streaming.fill(k, scratch_b);
-    ASSERT_EQ(a.num_arcs, b.num_arcs);
-    for (std::size_t e = 0; e < a.num_arcs; ++e) {
-      ASSERT_EQ(a.setup_steps[e], b.setup_steps[e]);
-      ASSERT_EQ(a.hold_steps[e], b.hold_steps[e]);
-    }
-  }
-  // get() after fill: cached lookups reproduce the stored values.
-  for (std::uint64_t k = 0; k < n; ++k) {
-    const mc::ArcConstantsView a = cached.get(k, scratch_a);
-    const mc::ArcConstantsView b = streaming.get(k, scratch_b);
-    for (std::size_t e = 0; e < a.num_arcs; ++e)
-      ASSERT_EQ(a.setup_steps[e], b.setup_steps[e]);
-  }
+/// Arcs with a negative constant in `dense`, ascending.
+std::vector<int> dense_violated(const mc::ArcConstants& dense) {
+  std::vector<int> out;
+  for (std::size_t e = 0; e < dense.setup_steps.size(); ++e)
+    if (dense.setup_steps[e] < 0 || dense.hold_steps[e] < 0)
+      out.push_back(static_cast<int>(e));
+  return out;
 }
 
-// ------------------------ engine cache toggle ------------------------------
+/// Appends edge-case arcs to a synthetic graph: a self-loop, an arc without
+/// local variation, arcs whose early delay clamps to 0 and to the late
+/// delay, and one whose late delay clamps to 0.
+void add_edge_case_arcs(ssta::SeqGraph& g) {
+  const ssta::SeqArc base = g.arcs.front();
+  const auto add = [&](int src, int dst, ssta::Canon dmax, ssta::Canon dmin) {
+    g.arcs.push_back(ssta::SeqArc{src, dst, dmax, dmin});
+    const int e = static_cast<int>(g.arcs.size()) - 1;
+    g.arcs_of_ff[static_cast<std::size_t>(src)].push_back(e);
+    if (dst != src) g.arcs_of_ff[static_cast<std::size_t>(dst)].push_back(e);
+  };
+  add(3, 3, base.dmax, base.dmin);  // self-loop
+  ssta::Canon no_loc_max = base.dmax, no_loc_min = base.dmin;
+  no_loc_max.aloc = 0.0;
+  no_loc_min.aloc = 0.0;
+  add(1, 4, no_loc_max, no_loc_min);  // aloc = 0
+  ssta::Canon negative_min = base.dmin;
+  negative_min.mu = -0.5 * base.dmax.mu;
+  add(2, 5, base.dmax, negative_min);  // early clamps to 0
+  ssta::Canon huge_min = base.dmin;
+  huge_min.mu = 2.0 * base.dmax.mu;
+  add(5, 2, base.dmax, huge_min);  // early clamps to late
+  ssta::Canon negative_max = base.dmax;
+  negative_max.mu = -base.dmax.mu;
+  add(6, 7, negative_max, base.dmin);  // late clamps to 0
+}
 
-TEST(EngineSampleCacheTest, ToggleAndBudgetProduceIdenticalResults) {
-  const KernelFixture fx(80, 600, 4242);
-  const double t = netlist::nominal_min_period(fx.design) * 1.1;
+TEST(ArcScreenTest, MatchesDenseKernel) {
+  std::uint64_t violated_total = 0, passing_samples = 0, samples = 0;
+  for (const auto& [ns, ng, seed] :
+       {std::tuple{60, 400, 1234}, std::tuple{24, 160, 77},
+        std::tuple{90, 700, 4242}}) {
+    KernelFixture fx(ns, ng, static_cast<std::uint64_t>(seed));
+    const auto synthetic_arcs = static_cast<int>(fx.graph.arcs.size());
+    add_edge_case_arcs(fx.graph);
+    const mc::Sampler sampler(fx.graph, static_cast<std::uint64_t>(seed) + 1);
+    mc::ArcSample sample;
+    mc::ArcConstants dense;
+    mc::ArcConstantMemo memo;
+    std::vector<int> screened;
+    for (const double t_factor : {0.2, 0.6, 0.9, 1.0, 1.1, 1.5, 3.0}) {
+      const double t = fx.t0 * t_factor;
+      for (const double divisions : {5.0, 50.0, 500.0, 5000.0}) {
+        const double step = t / divisions;
+        const mc::ArcScreen screen(sampler, t, step);
+        for (std::uint64_t k = 0; k < 48; ++k) {
+          sampler.evaluate(k, sample);
+          mc::quantize_arc_constants(fx.graph, sample, t, step, dense);
+          screen.violated_arcs(k, screened);
+          ASSERT_EQ(screened, dense_violated(dense))
+              << "T=" << t_factor << "x step=T/" << divisions << " k=" << k;
+          violated_total += screened.size();
+          // Some edge-case arcs fail every chip; judge the synthetic ones.
+          passing_samples +=
+              screened.empty() || screened.front() >= synthetic_arcs ? 1 : 0;
+          ++samples;
 
-  core::InsertionConfig cfg;
-  cfg.num_samples = 200;
+          // The memo, touched back to front and then again, serves the
+          // dense constants of every arc.
+          memo.begin(screen, k);
+          const std::size_t n = fx.graph.arcs.size();
+          for (int pass = 0; pass < 2; ++pass)
+            for (std::size_t i = 0; i < n; ++i) {
+              const std::size_t e = n - 1 - i;
+              ASSERT_EQ(memo.setup(e), dense.setup_steps[e]) << "arc " << e;
+              ASSERT_EQ(memo.hold(e), dense.hold_steps[e]) << "arc " << e;
+            }
+        }
+      }
+    }
+  }
+  // Both regimes occur: chips whose synthetic arcs all pass, and chips
+  // that fail.
+  EXPECT_GT(violated_total, 0u);
+  EXPECT_GT(passing_samples, 0u);
+  EXPECT_LT(passing_samples, samples);
+}
 
-  cfg.enable_sample_cache = true;
-  core::BufferInsertionEngine cached(fx.design, fx.graph, t, cfg);
-  const std::string with_cache =
-      core::insertion_result_json(cached.run()).dump();
+TEST(ArcScreenTest, ScreenedSolveMatchesDenseSolve) {
+  const KernelFixture fx;
+  const double t = fx.t0;
+  const double step = fx.t0 / 160.0;
+  const int ns = fx.graph.num_ffs;
+  // Floating windows, and sparse fixed windows that leave some chips
+  // unfixable.
+  core::CandidateWindows sparse = core::CandidateWindows::none(ns);
+  for (int f = 0; f < ns; f += 3) {
+    const auto fs = static_cast<std::size_t>(f);
+    sparse.candidate[fs] = 1;
+    sparse.k_lo[fs] = -(f % 11);
+    sparse.k_hi[fs] = 20 - (f % 11);
+  }
+  std::vector<double> targets(static_cast<std::size_t>(ns));
+  for (int f = 0; f < ns; ++f)
+    targets[static_cast<std::size_t>(f)] = 0.5 * ((f % 9) - 4);
 
-  cfg.enable_sample_cache = false;  // --no-sample-cache
-  core::BufferInsertionEngine uncached(fx.design, fx.graph, t, cfg);
-  const std::string without_cache =
-      core::insertion_result_json(uncached.run()).dump();
-
-  cfg.enable_sample_cache = true;
-  cfg.sample_cache_max_bytes = 64;  // forces streaming mode
-  core::BufferInsertionEngine streaming(fx.design, fx.graph, t, cfg);
-  const std::string with_streaming =
-      core::insertion_result_json(streaming.run()).dump();
-
-  // Identical JSON covers plan geometry, per-buffer stats, histograms and
-  // the per-phase MILP counters — steps 1/2a/2b behave identically.
-  EXPECT_EQ(with_cache, without_cache);
-  EXPECT_EQ(with_cache, with_streaming);
+  const mc::Sampler sampler(fx.graph, 2024);
+  const mc::ArcScreen screen(sampler, t, step);
+  core::SolveWorkspace ws;
+  std::vector<int> violated;
+  mc::ArcSample sample;
+  int rescued = 0, unfixable = 0, milps = 0;
+  for (const core::CandidateWindows& windows :
+       {core::CandidateWindows::floating(ns, 20), sparse}) {
+    const core::SampleSolver solver(fx.graph, step, t, windows);
+    for (const core::ConcentrateMode mode :
+         {core::ConcentrateMode::none, core::ConcentrateMode::toward_zero,
+          core::ConcentrateMode::toward_target}) {
+      for (std::uint64_t k = 0; k < 300; ++k) {
+        sampler.evaluate(k, sample);
+        const core::SampleSolution dense = solver.solve(sample, mode, &targets);
+        screen.violated_arcs(k, violated);
+        const core::SampleSolution sparse_sol =
+            solver.solve(screen, k, violated, mode, &targets, ws);
+        ASSERT_EQ(sparse_sol.fixable, dense.fixable) << "k=" << k;
+        ASSERT_EQ(sparse_sol.nk, dense.nk) << "k=" << k;
+        ASSERT_EQ(sparse_sol.tunings, dense.tunings) << "k=" << k;
+        ASSERT_EQ(sparse_sol.mincount_tunings, dense.mincount_tunings)
+            << "k=" << k;
+        ASSERT_EQ(sparse_sol.milps_solved, dense.milps_solved) << "k=" << k;
+        ASSERT_EQ(sparse_sol.milp_nodes, dense.milp_nodes) << "k=" << k;
+        ASSERT_EQ(sparse_sol.lazy_rounds, dense.lazy_rounds) << "k=" << k;
+        ASSERT_EQ(sparse_sol.truncated, dense.truncated) << "k=" << k;
+        rescued += dense.fixable && dense.nk > 0 ? 1 : 0;
+        unfixable += dense.fixable ? 0 : 1;
+        milps += dense.milps_solved;
+      }
+    }
+  }
+  // Every solver path ran: rescues, MILPs and unfixable chips.
+  EXPECT_GT(rescued, 0);
+  EXPECT_GT(unfixable, 0);
+  EXPECT_GT(milps, 0);
 }
 
 // ------------------------ delay cache equivalence --------------------------
@@ -314,35 +380,33 @@ TEST(ZeroAllocTest, YieldCheckSteadyStateDoesNotAllocate) {
 
 TEST(ZeroAllocTest, SolverPassingSamplesSteadyStateDoesNotAllocate) {
   const KernelFixture fx;
-  // Generous clock: every sample meets timing, exercising the seed-scan
-  // fast path the insertion flow takes for passing chips.
+  // Generous clock: every sample meets timing, exercising the screen and
+  // the solver's fast path the insertion flow takes for passing chips.
   const double t = fx.t0 * 2.0;
   const double step = fx.t0 / 160.0;
   const core::SampleSolver solver(
       fx.graph, step, t,
       core::CandidateWindows::floating(fx.graph.num_ffs, 20));
   const mc::Sampler sampler(fx.graph, 777);
-  const std::uint64_t n = 128;
-  mc::SampleConstantCache cache(sampler, t, step, n, 1ull << 30);
-  ASSERT_TRUE(cache.caching());
+  const mc::ArcScreen screen(sampler, t, step);
 
   core::SolveWorkspace ws;
-  mc::ArcConstants scratch;
+  std::vector<int> violated;
   // Warm-up: first sample sizes the workspace.
-  int nk_sum = 0;
   {
+    screen.violated_arcs(0, violated);
     const core::SampleSolution sol = solver.solve(
-        cache.fill(0, scratch), core::ConcentrateMode::toward_zero, nullptr,
-        ws);
+        screen, 0, violated, core::ConcentrateMode::toward_zero, nullptr, ws);
     ASSERT_TRUE(sol.fixable);
     ASSERT_EQ(sol.nk, 0) << "fixture must pass at 2x nominal period";
   }
 
+  int nk_sum = 0;
   util::AllocCounterScope scope;
-  for (std::uint64_t k = 1; k < n; ++k) {
+  for (std::uint64_t k = 1; k < 128; ++k) {
+    screen.violated_arcs(k, violated);
     const core::SampleSolution sol = solver.solve(
-        cache.fill(k, scratch), core::ConcentrateMode::toward_zero, nullptr,
-        ws);
+        screen, k, violated, core::ConcentrateMode::toward_zero, nullptr, ws);
     nk_sum += sol.nk;
   }
   const std::uint64_t allocs = scope.delta();
