@@ -5,8 +5,8 @@
 // in the Monte-Carlo inner loops.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "core/sample_solver.h"
