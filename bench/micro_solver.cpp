@@ -61,8 +61,7 @@ void BM_BranchAndBoundKnapsack(benchmark::State& state) {
   }
   m.add_row(lp::Sense::less_equal, row, 1.5 * n);
   for (auto _ : state) {
-    lp::Model scratch = m;
-    const milp::Result r = milp::solve(scratch, bins);
+    const milp::Result r = milp::solve(m, bins);
     benchmark::DoNotOptimize(r.objective);
   }
 }

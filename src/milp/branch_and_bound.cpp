@@ -10,9 +10,12 @@ namespace {
 
 class Solver {
  public:
-  Solver(lp::Model& model, const std::vector<int>& integer_vars,
+  Solver(const lp::Model& model, const std::vector<int>& integer_vars,
          const Options& options)
-      : model_(model), int_vars_(integer_vars), opt_(options) {}
+      : model_(model),
+        int_vars_(integer_vars),
+        opt_(options),
+        lp_(model, options.lp_options) {}
 
   Result run(const std::optional<Incumbent>& warm_start) {
     if (warm_start.has_value()) {
@@ -63,7 +66,9 @@ class Solver {
       return;
     }
     ++nodes_;
-    const lp::Solution relax = lp::solve(model_, opt_.lp_options);
+    // The first call (the root) solves cold; every later node re-optimizes
+    // the tableau the previous node left, after its own bound changes.
+    const lp::Solution relax = lp_.reoptimize();
     if (relax.status == lp::Status::infeasible) {
       if (depth == 0) root_infeasible_ = true;
       return;
@@ -112,8 +117,8 @@ class Solver {
       return;
     }
 
-    const double old_lo = model_.lower(branch_var);
-    const double old_hi = model_.upper(branch_var);
+    const double old_lo = lp_.lower(branch_var);
+    const double old_hi = lp_.upper(branch_var);
     const double floor_val = std::floor(branch_val);
     const double ceil_val = floor_val + 1.0;
 
@@ -123,19 +128,20 @@ class Solver {
       const bool down = down_first == (pass == 0);
       if (down) {
         if (floor_val < old_lo - 1e-9) continue;
-        model_.set_bounds(branch_var, old_lo, std::min(old_hi, floor_val));
+        lp_.set_bounds(branch_var, old_lo, std::min(old_hi, floor_val));
       } else {
         if (ceil_val > old_hi + 1e-9) continue;
-        model_.set_bounds(branch_var, std::max(old_lo, ceil_val), old_hi);
+        lp_.set_bounds(branch_var, std::max(old_lo, ceil_val), old_hi);
       }
       recurse(depth + 1);
-      model_.set_bounds(branch_var, old_lo, old_hi);
+      lp_.set_bounds(branch_var, old_lo, old_hi);
     }
   }
 
-  lp::Model& model_;
+  const lp::Model& model_;
   const std::vector<int>& int_vars_;
   Options opt_;
+  lp::Simplex lp_;  // the one tableau of this search
   Incumbent best_;
   bool have_best_ = false;
   bool search_complete_ = true;
@@ -146,7 +152,7 @@ class Solver {
 
 }  // namespace
 
-Result solve(lp::Model& model, const std::vector<int>& integer_vars,
+Result solve(const lp::Model& model, const std::vector<int>& integer_vars,
              const Options& options,
              const std::optional<Incumbent>& warm_start) {
   Solver solver(model, integer_vars, options);

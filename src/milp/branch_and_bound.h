@@ -7,6 +7,12 @@
 // objective is known to be integral (both paper objectives are, in step
 // units).  A warm-start incumbent (from the greedy feasibility heuristic)
 // makes pruning effective from the first node.
+//
+// One search keeps one `lp::Simplex` tableau.  The root is a cold solve from
+// a slack crash basis; every other node writes its branching bounds into that
+// tableau and re-optimizes it in place (bounded dual simplex, then a primal
+// clean-up), starting from whatever basis the previous node left.  Nothing is
+// copied per node or per depth level, so memory stays one tableau per search.
 #pragma once
 
 #include <optional>
@@ -47,11 +53,11 @@ struct Result {
   long nodes_explored = 0;
 };
 
-/// Solves `model` with the given variables restricted to integers.  The
-/// model is used as scratch space (bounds are modified and restored).
+/// Solves `model` with the given variables restricted to integers.  Branching
+/// bounds live in the search's tableau; the model is only read.
 /// `warm_start`, when given, must be integer feasible; it seeds the
 /// incumbent.
-Result solve(lp::Model& model, const std::vector<int>& integer_vars,
+Result solve(const lp::Model& model, const std::vector<int>& integer_vars,
              const Options& options = {},
              const std::optional<Incumbent>& warm_start = std::nullopt);
 

@@ -19,7 +19,7 @@ using lp::Sense;
 TEST(BranchAndBoundTest, PureLpPassesThrough) {
   Model m;
   m.add_variable(0.0, 4.0, -1.0);
-  const Result r = solve(m, {});
+  const Result r = milp::solve(m, {});
   ASSERT_EQ(r.status, Status::optimal);
   EXPECT_NEAR(r.objective, -4.0, 1e-9);
 }
@@ -29,7 +29,7 @@ TEST(BranchAndBoundTest, RoundsUpToIntegerFeasibility) {
   Model m;
   const int x = m.add_variable(0.0, 10.0, 1.0);
   m.add_row(Sense::greater_equal, {{x, 1.0}}, 2.5);
-  const Result r = solve(m, {x});
+  const Result r = milp::solve(m, {x});
   ASSERT_EQ(r.status, Status::optimal);
   EXPECT_NEAR(r.objective, 3.0, 1e-9);
   EXPECT_NEAR(r.x[0], 3.0, 1e-9);
@@ -40,7 +40,7 @@ TEST(BranchAndBoundTest, DetectsIntegerInfeasibility) {
   Model m;
   const int x = m.add_variable(0.0, 1.0, 1.0);
   m.add_row(Sense::equal, {{x, 2.0}}, 1.0);
-  const Result r = solve(m, {x});
+  const Result r = milp::solve(m, {x});
   EXPECT_EQ(r.status, Status::infeasible);
 }
 
@@ -57,7 +57,7 @@ TEST(BranchAndBoundTest, KnapsackAgainstBruteForce) {
     row.push_back({bins.back(), weight[i]});
   }
   m.add_row(Sense::less_equal, row, capacity);
-  const Result r = solve(m, bins);
+  const Result r = milp::solve(m, bins);
   ASSERT_EQ(r.status, Status::optimal);
 
   double best = 0.0;
@@ -87,7 +87,7 @@ TEST(BranchAndBoundTest, BigMIndicatorModelMatchesPaperPattern) {
     m.add_row(Sense::less_equal, {{x, -1.0}, {c, -gamma}}, 0.0);
   }
   m.add_row(Sense::less_equal, {{x1, 1.0}, {x2, -1.0}}, -3.0);
-  const Result r = solve(m, {x1, x2, c1, c2});
+  const Result r = milp::solve(m, {x1, x2, c1, c2});
   ASSERT_EQ(r.status, Status::optimal);
   // One buffer suffices: x1 = -3 (or x2 = +3).
   EXPECT_NEAR(r.objective, 1.0, 1e-9);
@@ -101,7 +101,7 @@ TEST(BranchAndBoundTest, WarmStartIsKeptWhenOptimal) {
   Incumbent warm;
   warm.objective = 2.0;
   warm.x = {2.0};
-  const Result r = solve(m, {x}, Options{}, warm);
+  const Result r = milp::solve(m, {x}, Options{}, warm);
   ASSERT_EQ(r.status, Status::optimal);
   EXPECT_NEAR(r.objective, 2.0, 1e-9);
 }
@@ -113,7 +113,7 @@ TEST(BranchAndBoundTest, WarmStartImprovedUpon) {
   Incumbent warm;
   warm.objective = 5.0;
   warm.x = {5.0};
-  const Result r = solve(m, {x}, Options{}, warm);
+  const Result r = milp::solve(m, {x}, Options{}, warm);
   ASSERT_EQ(r.status, Status::optimal);
   EXPECT_NEAR(r.objective, 2.0, 1e-9);
 }
@@ -129,7 +129,7 @@ TEST(BranchAndBoundTest, IntegralObjectivePruningPreservesOptimum) {
               5.5);
     Options opt;
     opt.objective_is_integral = integral;
-    const Result r = solve(m, ints, opt);
+    const Result r = milp::solve(m, ints, opt);
     ASSERT_EQ(r.status, Status::optimal);
     EXPECT_NEAR(r.objective, 6.0, 1e-9) << "integral=" << integral;
   }
@@ -147,7 +147,7 @@ TEST(BranchAndBoundTest, NodeLimitReportsTruncation) {
   m.add_row(Sense::less_equal, row, 5.0);
   Options opt;
   opt.max_nodes = 1;
-  const Result r = solve(m, ints, opt);
+  const Result r = milp::solve(m, ints, opt);
   EXPECT_TRUE(r.status == Status::node_limit || r.status == Status::feasible);
 }
 
@@ -159,7 +159,7 @@ TEST(BranchAndBoundTest, NegativeIntegerDomain) {
   const int xn = m.add_variable(0.0, 8.0, 1.0);
   m.add_row(Sense::equal, {{x, 1.0}, {xp, -1.0}, {xn, 1.0}}, 0.0);
   m.add_row(Sense::less_equal, {{x, 1.0}}, -2.5);
-  const Result r = solve(m, {x});
+  const Result r = milp::solve(m, {x});
   ASSERT_EQ(r.status, Status::optimal);
   EXPECT_NEAR(r.x[0], -3.0, 1e-9);
   EXPECT_NEAR(r.objective, 3.0, 1e-9);
@@ -191,7 +191,7 @@ TEST_P(RandomMilpTest, MatchesExhaustiveEnumeration) {
               coeffs, std::round(rng.next_double(-4.0, 4.0)) + 0.5);
   }
 
-  const Result r = solve(m, ints);
+  const Result r = milp::solve(m, ints);
 
   // Exhaustive enumeration.
   double best = std::numeric_limits<double>::infinity();
