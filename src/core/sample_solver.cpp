@@ -1,7 +1,9 @@
 #include "core/sample_solver.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <limits>
 #include <optional>
 
 #include "lp/model.h"
@@ -81,6 +83,12 @@ struct BuiltModel {
 };
 
 using Component = SolveWorkspace::Component;
+
+/// A buffer that can rescue a component alone, with its feasible range.
+struct BufferInterval {
+  int var = -1;
+  std::int64_t lo = 0, hi = 0;
+};
 
 }  // namespace
 
@@ -252,16 +260,18 @@ struct SampleSolver::WorkingModel {
   /// Single-buffer closed form for a component: a one-buffer rescue must be
   /// incident to every violated arc of the component and satisfy all arcs
   /// incident to it in the whole graph (other flip-flops stay at 0).
-  /// Returns (var, lo, hi) of the feasible interval, or nullopt.
-  std::optional<std::tuple<int, std::int64_t, std::int64_t>>
-  single_buffer_interval(const Component& comp) const {
+  /// Fills `out` with the rescues among the endpoints of the first violated
+  /// arc, source first, and returns how many there are (0, 1 or 2).
+  int single_buffer_intervals(const Component& comp,
+                              std::array<BufferInterval, 2>& out) const {
     int first_violated = -1;
     for (int e : comp.arcs)
       if (violated(e)) {
         first_violated = e;
         break;
       }
-    if (first_violated < 0) return std::nullopt;
+    if (first_violated < 0) return 0;
+    int found = 0;
     const ssta::SeqArc& first =
         solver.graph_->arcs[static_cast<std::size_t>(first_violated)];
     for (const int b : {first.src_ff, first.dst_ff}) {
@@ -294,9 +304,10 @@ struct SampleSolver::WorkingModel {
         }
       }
       if (lo > hi) continue;
-      return std::make_tuple(var_of(b), lo, hi);
+      out[static_cast<std::size_t>(found++)] =
+          BufferInterval{var_of(b), lo, hi};
     }
-    return std::nullopt;
+    return found;
   }
 
   /// Builds the MILP for one component.  mode none => objective min sum(c);
@@ -594,22 +605,41 @@ SampleSolution SampleSolver::solve_sample(std::span<const int> violated,
       if (!has_violated) continue;  // pure side constraints: x = 0 works
 
       // -- single-buffer closed form ------------------------------------
-      if (const auto sb = wm.single_buffer_interval(comp)) {
-        const auto [v, lo, hi] = *sb;
-        CLKTUNE_ASSERT(lo > 0 || hi < 0);
+      std::array<BufferInterval, 2> rescues;
+      if (const int n_rescues = wm.single_buffer_intervals(comp, rescues)) {
+        const BufferInterval& first = rescues[0];
+        CLKTUNE_ASSERT(first.lo > 0 || first.hi < 0);
         // A count-only ILP returns an arbitrary feasible value; emulate the
-        // scatter with the endpoint farthest from zero.
-        const std::int64_t scatter = std::llabs(lo) >= std::llabs(hi) ? lo : hi;
+        // scatter with the first rescue's endpoint farthest from zero.
+        const std::int64_t scatter =
+            std::llabs(first.lo) >= std::llabs(first.hi) ? first.lo : first.hi;
+        ws.mincount_acc.emplace_back(
+            ws.ff_of_var[static_cast<std::size_t>(first.var)],
+            static_cast<int>(scatter));
+        // Concentration takes the rescue and value that lower the objective
+        // most against the all-zero component, |k - t| - |t| with t = 0
+        // toward zero, as the concentration ILP would over both endpoints.
+        int var = first.var;
         std::int64_t k = scatter;
-        const int ff = ws.ff_of_var[static_cast<std::size_t>(v)];
-        if (mode == ConcentrateMode::toward_zero) {
-          k = std::clamp<std::int64_t>(0, lo, hi);
-        } else if (mode == ConcentrateMode::toward_target) {
-          k = std::clamp<std::int64_t>(
-              std::llround((*targets)[static_cast<std::size_t>(ff)]), lo, hi);
+        if (mode != ConcentrateMode::none) {
+          std::int64_t best = std::numeric_limits<std::int64_t>::max();
+          for (int r = 0; r < n_rescues; ++r) {
+            const BufferInterval& rescue = rescues[static_cast<std::size_t>(r)];
+            const int ff = ws.ff_of_var[static_cast<std::size_t>(rescue.var)];
+            const std::int64_t t =
+                mode == ConcentrateMode::toward_zero
+                    ? 0
+                    : std::llround((*targets)[static_cast<std::size_t>(ff)]);
+            const std::int64_t value = std::clamp(t, rescue.lo, rescue.hi);
+            const std::int64_t change = std::llabs(value - t) - std::llabs(t);
+            if (change < best) {
+              best = change;
+              var = rescue.var;
+              k = value;
+            }
+          }
         }
-        ws.k_of_var[static_cast<std::size_t>(v)] = k;
-        ws.mincount_acc.emplace_back(ff, static_cast<int>(scatter));
+        ws.k_of_var[static_cast<std::size_t>(var)] = k;
         nk_total += 1;
         continue;
       }

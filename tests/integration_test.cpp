@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "core/baselines.h"
@@ -117,27 +119,102 @@ TEST(SolverSolutionValidity, TuningsSatisfyEveryArcConstraint) {
 
 TEST(SolverOptimality, CountMatchesExhaustiveOnSmallChips) {
   // On a tiny graph, compare the solver's n_k with brute force over all
-  // single- and two-buffer supports (values via difference constraints).
+  // single- and two-buffer supports (values via difference constraints),
+  // then both concentration objectives with brute force over every support
+  // of size n_k.
+  const int window = 20;
   const World w(23, 16, 140);
   const core::SampleSolver solver(
       w.graph, w.step, w.t,
-      core::CandidateWindows::floating(w.graph.num_ffs, 20));
+      core::CandidateWindows::floating(w.graph.num_ffs, window));
   const mc::Sampler sampler(w.graph, 9);
   mc::ArcSample arcs;
   std::vector<std::int64_t> setup, hold;
+  const auto ffs = static_cast<std::size_t>(w.graph.num_ffs);
+  std::vector<double> targets(ffs);
+  for (std::size_t f = 0; f < ffs; ++f)
+    targets[f] = static_cast<double>(f * 7 % 9) - 4.0 + 0.3;
 
   const auto feasible_with_support = [&](const std::vector<int>& support) {
     feas::TuningPlan p;
     p.step_ps = w.step;
-    for (int ff : support) p.buffers.push_back(feas::BufferWindow{ff, -20, 20});
+    for (int ff : support)
+      p.buffers.push_back(feas::BufferWindow{ff, -window, window});
     p.reset_groups();
     // Evaluate via the independent Bellman-Ford path.
     const feas::YieldEvaluator ev(w.graph, p, w.t);
     return ev;
   };
 
+  // Concentration objectives over a full assignment x (steps per FF).
+  const auto toward_zero = [](const std::vector<std::int64_t>& x) {
+    std::int64_t sum = 0;
+    for (const std::int64_t v : x) sum += std::llabs(v);
+    return sum;
+  };
+  const auto toward_target = [&](const std::vector<std::int64_t>& x) {
+    std::int64_t sum = 0;
+    for (std::size_t f = 0; f < ffs; ++f)
+      sum += std::llabs(x[f] - std::llround(targets[f]));
+    return sum;
+  };
+  const auto assignment = [&](const core::SampleSolution& sol) {
+    std::vector<std::int64_t> x(ffs, 0);
+    for (const auto& [ff, kv] : sol.tunings)
+      x[static_cast<std::size_t>(ff)] = kv;
+    return x;
+  };
+  const auto satisfies_arcs_of = [&](const std::vector<std::int64_t>& x,
+                                     int ff) {
+    for (const int e : w.graph.arcs_of_ff[static_cast<std::size_t>(ff)]) {
+      const auto es = static_cast<std::size_t>(e);
+      const ssta::SeqArc& arc = w.graph.arcs[es];
+      const std::int64_t xi = x[static_cast<std::size_t>(arc.src_ff)];
+      const std::int64_t xj = x[static_cast<std::size_t>(arc.dst_ff)];
+      if (xi - xj > setup[es] || xj - xi > hold[es]) return false;
+    }
+    return true;
+  };
+  // Minimum of `objective` over every support of size nk (1 or 2) with
+  // nonzero values in the window.  Arcs away from the support see x = 0,
+  // so the support must touch every arc that fails at zero.
+  const auto brute_force_min = [&](int nk, const auto& objective) {
+    std::vector<int> failing;
+    for (std::size_t e = 0; e < w.graph.arcs.size(); ++e)
+      if (setup[e] < 0 || hold[e] < 0) failing.push_back(static_cast<int>(e));
+    const auto touches_all = [&](int a, int b) {
+      for (const int e : failing) {
+        const ssta::SeqArc& arc = w.graph.arcs[static_cast<std::size_t>(e)];
+        if (arc.src_ff != a && arc.dst_ff != a && arc.src_ff != b &&
+            arc.dst_ff != b)
+          return false;
+      }
+      return true;
+    };
+    std::int64_t best = std::numeric_limits<std::int64_t>::max();
+    std::vector<std::int64_t> x(ffs, 0);
+    for (int a = 0; a < w.graph.num_ffs; ++a) {
+      for (int b = a; b < w.graph.num_ffs; ++b) {  // b == a: one buffer
+        if ((nk == 1) != (a == b) || !touches_all(a, b)) continue;
+        for (int va = -window; va <= window; ++va) {
+          for (int vb = -window; vb <= window; ++vb) {
+            if (va == 0 || vb == 0 || (a == b && va != vb)) continue;
+            x[static_cast<std::size_t>(a)] = va;
+            x[static_cast<std::size_t>(b)] = vb;
+            if (satisfies_arcs_of(x, a) && satisfies_arcs_of(x, b))
+              best = std::min(best, objective(x));
+          }
+        }
+        x[static_cast<std::size_t>(a)] = 0;
+        x[static_cast<std::size_t>(b)] = 0;
+      }
+    }
+    return best;
+  };
+
   int compared = 0;
-  for (std::uint64_t k = 0; k < 300 && compared < 40; ++k) {
+  int compared_two = 0;
+  for (std::uint64_t k = 0; k < 600; ++k) {
     sampler.evaluate(k, arcs);
     const core::SampleSolution sol =
         solver.solve(arcs, core::ConcentrateMode::none);
@@ -158,8 +235,25 @@ TEST(SolverOptimality, CountMatchesExhaustiveOnSmallChips) {
             << k;
       }
     }
+
+    solver.arc_constants(arcs, setup, hold);
+    const core::SampleSolution zero =
+        solver.solve(arcs, core::ConcentrateMode::toward_zero);
+    const core::SampleSolution target =
+        solver.solve(arcs, core::ConcentrateMode::toward_target, &targets);
+    EXPECT_EQ(zero.nk, sol.nk) << "sample " << k;
+    EXPECT_EQ(target.nk, sol.nk) << "sample " << k;
+    EXPECT_EQ(toward_zero(assignment(zero)),
+              brute_force_min(sol.nk, toward_zero))
+        << "toward_zero, sample " << k;
+    EXPECT_EQ(toward_target(assignment(target)),
+              brute_force_min(sol.nk, toward_target))
+        << "toward_target, sample " << k;
+    compared_two += sol.nk == 2 ? 1 : 0;
   }
-  EXPECT_GT(compared, 10);
+  // 260 samples on this graph, 65 of them with n_k = 2.
+  EXPECT_GT(compared, 200);
+  EXPECT_GT(compared_two, 50);
 }
 
 TEST(EndToEnd, BenchFileThroughWholeFlow) {
