@@ -77,9 +77,11 @@ void send_event(const util::TcpSocket& connection, const Json& event) {
   util::tcp_write_all(connection, event.dump(-1) + "\n");
 }
 
-void send_error(const util::TcpSocket& connection, const std::string& what) {
+void send_error(const util::TcpSocket& connection, const std::string& what,
+                const char* code = nullptr) {
   Json event = Json::object();
   event.set("event", "error");
+  if (code != nullptr) event.set("code", code);
   event.set("message", what);
   send_event(connection, event);
 }
@@ -344,7 +346,7 @@ void ScenarioServer::handler_loop() {
 
 void ScenarioServer::handle_connection(util::TcpSocket connection) {
   track_connection(connection.fd(), /*add=*/true);
-  util::LineReader reader(connection);
+  util::LineReader reader(connection, kMaxRequestBytes);
   std::string line;
   try {
     while (!stop_.load() && reader.read_line(line)) {
@@ -360,6 +362,15 @@ void ScenarioServer::handle_connection(util::TcpSocket connection) {
           break;  // peer gone mid-error: drop the connection
         }
       }
+    }
+  } catch (const util::LineTooLong& e) {
+    // An oversized frame cannot be resynchronised: answer it, then close
+    // this connection only.  No drain: a peer that keeps streaming would
+    // keep it busy, and the cap already bounds what was read.
+    try {
+      send_error(connection, e.what(), "too_large");
+    } catch (const std::exception&) {
+      // Peer already gone.
     }
   } catch (const std::exception&) {
     // A read failure — recv deadline, a reset mid-frame, an injected

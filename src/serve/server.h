@@ -75,6 +75,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -97,6 +98,10 @@ namespace clktune::serve {
 /// Bumped on incompatible frame-shape changes (additive members do not
 /// count); v1 is the first versioned protocol.
 inline constexpr std::uint64_t kProtocolVersion = 1;
+
+/// Longest request line the daemon buffers, far above any real document.
+/// A longer line gets a `too_large` error frame and costs its connection.
+inline constexpr std::size_t kMaxRequestBytes = std::size_t{4} << 20;
 
 struct ServeOptions {
   std::uint16_t port = 0;   ///< 0 = ephemeral (query via ScenarioServer::port)

@@ -221,16 +221,29 @@ void tcp_drain_pending(const TcpSocket& socket) {
 
 bool LineReader::read_line(std::string& line) {
   for (;;) {
-    const std::size_t newline = buffer_.find('\n');
+    // Resume the scan where the last one stopped: rescanning the whole
+    // buffer after every recv would make one long line quadratic.
+    const std::size_t newline = buffer_.find('\n', scanned_);
+    const std::size_t line_bytes =
+        newline == std::string::npos ? buffer_.size() : newline;
+    if (line_bytes > max_line_) {
+      std::string what = "socket: line exceeds ";
+      what += std::to_string(max_line_);
+      what += " bytes";
+      throw LineTooLong(what);
+    }
     if (newline != std::string::npos) {
       line.assign(buffer_, 0, newline);
       buffer_.erase(0, newline + 1);
+      scanned_ = 0;
       return true;
     }
+    scanned_ = buffer_.size();
     if (eof_) {
       if (buffer_.empty()) return false;
       line = std::move(buffer_);
       buffer_.clear();
+      scanned_ = 0;
       return true;
     }
     // Injection: `reset` throws as a mid-stream connection reset, `delay`

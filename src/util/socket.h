@@ -8,7 +8,10 @@
 // dependency.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 
@@ -68,10 +71,22 @@ void tcp_write_all(const TcpSocket& socket, std::string_view data);
 /// path) must drain first or the client never sees the answer.
 void tcp_drain_pending(const TcpSocket& socket);
 
+/// Thrown by LineReader::read_line for a line longer than the reader's cap.
+class LineTooLong : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// Buffered reader of '\n'-terminated lines from one socket.
 class LineReader {
  public:
-  explicit LineReader(const TcpSocket& socket) : socket_(&socket) {}
+  /// A line longer than `max_line` bytes (terminator excluded) throws
+  /// LineTooLong as soon as the reader holds more than that without a
+  /// newline, so a peer can never make it buffer much beyond the cap.
+  explicit LineReader(
+      const TcpSocket& socket,
+      std::size_t max_line = std::numeric_limits<std::size_t>::max())
+      : socket_(&socket), max_line_(max_line) {}
 
   /// Next line without the terminator; false on clean EOF (a trailing
   /// unterminated fragment is returned as a final line first).  When the
@@ -83,7 +98,9 @@ class LineReader {
 
  private:
   const TcpSocket* socket_;
+  std::size_t max_line_;
   std::string buffer_;
+  std::size_t scanned_ = 0;  // leading bytes of buffer_ known to hold no '\n'
   bool eof_ = false;
 };
 

@@ -164,6 +164,22 @@ TEST_F(ServerFixture, MalformedAndInvalidRequestsReportErrors) {
             "status");
 }
 
+TEST_F(ServerFixture, OversizedRequestLineCostsOnlyItsConnection) {
+  // One unterminated line of cap + 1 bytes: the daemon answers too_large,
+  // closes that connection, and keeps serving new ones.
+  const util::TcpSocket big = util::tcp_connect("127.0.0.1", server_->port());
+  util::tcp_write_all(big, std::string(serve::kMaxRequestBytes + 1, 'x'));
+  util::LineReader reader(big);
+  std::string line;
+  ASSERT_TRUE(reader.read_line(line));
+  const Json frame = Json::parse(line);
+  EXPECT_EQ(frame.at("event").as_string(), "error");
+  EXPECT_EQ(frame.at("code").as_string(), "too_large");
+  EXPECT_FALSE(reader.read_line(line));  // closed after the frame
+  EXPECT_EQ(submit("status", Json()).final_event.at("event").as_string(),
+            "status");
+}
+
 TEST_F(ServerFixture, ShutdownRequestStopsTheAcceptLoop) {
   const serve::SubmitOutcome outcome = submit("shutdown", Json());
   EXPECT_TRUE(outcome.ok());
