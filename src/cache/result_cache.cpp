@@ -76,7 +76,10 @@ struct CacheMetrics {
 /// envelopes ({"key","sha256","result"}) so `clktune cache verify` can
 /// re-hash artifacts against their keys.  v3: scenario kinds (criticality /
 /// binning) — new result shapes must never deserialize from v2 entries.
-constexpr const char* kSchemaSalt = "clktune-scenario-result-v3\n";
+/// v4: the warm-started MILP solver may return different tunings among tied
+/// optima, and concentration now weighs both single-buffer rescues, so a v3
+/// entry may hold a plan this build would not produce.
+constexpr const char* kSchemaSalt = "clktune-scenario-result-v4\n";
 
 }  // namespace
 

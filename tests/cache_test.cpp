@@ -145,35 +145,40 @@ Json fake_artifact(int value) {
   return j;
 }
 
-TEST(CacheKeyTest, V2SchemaEntriesAreCleanMisses) {
-  // Salt bump v2 -> v3 (scenario kinds changed the result artifact space):
-  // a perfectly well-formed entry stored under the v2 key of the same
-  // document must read as a miss, never deserialize into a v3 run.
+TEST(CacheKeyTest, OlderSchemaEntriesAreCleanMisses) {
+  // Salt bumps v2 -> v3 (scenario kinds changed the result artifact space)
+  // and v3 -> v4 (the solver may pick other tunings among tied optima): a
+  // perfectly well-formed entry stored under an older key of the same
+  // document must read as a miss, never deserialize into a v4 run.
   const auto spec = scenario::ScenarioSpec::from_json(tiny_scenario_doc());
-  util::Sha256 v2;
-  v2.update("clktune-scenario-result-v2\n");
-  v2.update(util::canonical_dump(spec.to_json()));
-  const std::string v2_key = v2.hex_digest();
-  const std::string v3_key = cache::scenario_cache_key(spec);
-  ASSERT_NE(v2_key, v3_key);
-
-  const std::string dir = testing::TempDir() + "clktune_cache_v2";
+  const std::string key = cache::scenario_cache_key(spec);
+  const std::string dir = testing::TempDir() + "clktune_cache_old_schema";
   std::filesystem::remove_all(dir);
-  cache::ResultCache cache_store(dir);
-  // The v2 entry is intact (valid envelope, matching digest) — the miss
-  // below is purely the salt bump, not corruption self-healing.
-  cache_store.put(v2_key, fake_artifact(2));
-  ASSERT_TRUE(cache::ResultCache(dir).get(v2_key).has_value());
+  int version = 2;
+  for (const char* salt :
+       {"clktune-scenario-result-v2\n", "clktune-scenario-result-v3\n"}) {
+    util::Sha256 old;
+    old.update(salt);
+    old.update(util::canonical_dump(spec.to_json()));
+    const std::string old_key = old.hex_digest();
+    ASSERT_NE(old_key, key);
 
-  cache::ResultCache fresh(dir);
-  EXPECT_FALSE(fresh.get(v3_key).has_value());
-  EXPECT_EQ(fresh.stats().misses, 1u);
-  EXPECT_EQ(fresh.stats().self_heals, 0u);
+    cache::ResultCache cache_store(dir);
+    // The old entry is intact (valid envelope, matching digest) — the miss
+    // below is purely the salt bump, not corruption self-healing.
+    cache_store.put(old_key, fake_artifact(version++));
+    ASSERT_TRUE(cache::ResultCache(dir).get(old_key).has_value());
 
-  fresh.put(v3_key, fake_artifact(3));
-  const auto hit = cache::ResultCache(dir).get(v3_key);
+    cache::ResultCache fresh(dir);
+    EXPECT_FALSE(fresh.get(key).has_value()) << salt;
+    EXPECT_EQ(fresh.stats().misses, 1u);
+    EXPECT_EQ(fresh.stats().self_heals, 0u);
+  }
+
+  cache::ResultCache(dir).put(key, fake_artifact(4));
+  const auto hit = cache::ResultCache(dir).get(key);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->at("value").as_int(), 3);
+  EXPECT_EQ(hit->at("value").as_int(), 4);
   std::filesystem::remove_all(dir);
 }
 
