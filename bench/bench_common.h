@@ -6,10 +6,6 @@
 //   CLKTUNE_EVAL      yield-evaluation samples       (default 10000)
 //   CLKTUNE_THREADS   worker threads                 (default: all cores)
 //   CLKTUNE_CIRCUITS  comma list to restrict circuits (default: all eight)
-//   CLKTUNE_EVAL_CACHE_MB  total delay-cache budget, MB (default 512,
-//                          split across a bench's simultaneously resident
-//                          caches; oversized circuits fall back to
-//                          streaming)
 #pragma once
 
 #include <algorithm>
@@ -40,14 +36,7 @@ struct BenchConfig {
   std::uint64_t samples;
   std::uint64_t eval_samples;
   int threads;
-  long eval_cache_mb;
   std::vector<std::string> circuits;
-
-  std::uint64_t eval_cache_bytes() const {
-    return eval_cache_mb <= 0
-               ? 0
-               : static_cast<std::uint64_t>(eval_cache_mb) << 20;
-  }
 
   static BenchConfig from_env() {
     // Honour CLKTUNE_FAULT_PLAN in benches too: a bench under faults is a
@@ -60,7 +49,6 @@ struct BenchConfig {
     cfg.eval_samples =
         static_cast<std::uint64_t>(util::env_long("CLKTUNE_EVAL", 10000));
     cfg.threads = static_cast<int>(util::env_long("CLKTUNE_THREADS", 0));
-    cfg.eval_cache_mb = util::env_long("CLKTUNE_EVAL_CACHE_MB", 512);
     const std::string list = util::env_string("CLKTUNE_CIRCUITS", "");
     if (!list.empty()) {
       std::size_t pos = 0;

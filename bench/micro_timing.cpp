@@ -1,7 +1,7 @@
 // Microbenchmarks of the timing substrate: sequential-graph extraction,
 // per-sample arc evaluation (dense draws and the insertion flow's arc
-// screen), period Monte-Carlo and yield checking (drawn and cached-delay
-// forms).
+// screen), the per-chip verdict pass behind the period MC and every yield,
+// and the dense per-chip yield check.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -9,7 +9,6 @@
 #include "feas/yield_eval.h"
 #include "gbench_json.h"
 #include "mc/arc_screen.h"
-#include "mc/delay_cache.h"
 #include "mc/period_mc.h"
 #include "mc/sampler.h"
 #include "netlist/generator.h"
@@ -99,22 +98,21 @@ void BM_YieldCheckPerSample(benchmark::State& state) {
 }
 BENCHMARK(BM_YieldCheckPerSample);
 
-// The shared-delay-cache path measurements reuse across evaluations: the
-// sampling work is gone, leaving sign tests plus a tiny SPFA.
-void BM_YieldCheckCachedDelays(benchmark::State& state) {
+// One chip's verdict (P_k, H_k): the pass the period MC folds over and
+// every yield evaluation counts from.  Items are arcs, as in
+// BM_ArcSampleEvaluation.
+void BM_ChipVerdict(benchmark::State& state) {
   static const YieldFixture fx;
-  const feas::YieldEvaluator eval(fx.graph, fx.plan(), fx.ps.mu());
-  const std::uint64_t window = 512;
-  mc::SampleDelayCache cache(fx.sampler, window, 1ull << 30);
-  mc::ArcSample scratch;
-  for (std::uint64_t k = 0; k < window; ++k) cache.fill(k, scratch);
+  const mc::ArcScreen screen(fx.sampler, 0.0, 1.0);
   std::uint64_t k = 0;
   for (auto _ : state) {
-    const mc::ArcDelaysView view = cache.get(k++ % window, scratch);
-    benchmark::DoNotOptimize(eval.sample_feasible(view));
+    const mc::ChipVerdict v = screen.verdict(k++);
+    benchmark::DoNotOptimize(v.period);
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(fx.graph.arcs.size()));
 }
-BENCHMARK(BM_YieldCheckCachedDelays);
+BENCHMARK(BM_ChipVerdict);
 
 }  // namespace
 

@@ -37,24 +37,11 @@ int run() {
     const bench::PreparedCircuit pc = bench::prepare(spec, cfg);
     const mc::Sampler eval_sampler(pc.graph, bench::kEvalSeed);
     const mc::Sampler insert_sampler(pc.graph, 20160314);
-    // Evaluation delays depend only on (seed, sample, arc): one cache
-    // serves all twelve evaluations of this circuit (4 plans x 3 clock
-    // settings), and a second serves the criticality baseline's
-    // insertion-seed delays.  The first use of each fills it.  The pair
-    // shares the CLKTUNE_EVAL_CACHE_MB budget: the high-reuse eval cache
-    // takes exactly what it needs when it fits, the remainder goes to the
-    // insert cache, and the total never exceeds the documented bound.
-    const std::uint64_t total_budget = cfg.eval_cache_bytes();
-    const std::uint64_t eval_need = mc::SampleDelayCache::required_bytes(
-        cfg.eval_samples, pc.graph.arcs.size());
-    const std::uint64_t eval_budget =
-        eval_need <= total_budget ? eval_need : 0;
-    mc::SampleDelayCache eval_delays(eval_sampler, cfg.eval_samples,
-                                     eval_budget);
-    bool fill_delays = true;
-    mc::SampleDelayCache insert_delays(insert_sampler, cfg.samples,
-                                       total_budget - eval_budget);
-    bool fill_insert = true;
+    // A chip's verdict does not depend on the clock period or the plan:
+    // one set serves all twelve evaluations of this circuit (4 plans x 3
+    // clock settings).
+    const mc::ChipVerdicts eval_verdicts(eval_sampler, cfg.eval_samples,
+                                         cfg.threads);
 
     for (int sigmas = 0; sigmas <= 2; ++sigmas) {
       const double t = pc.setting_period(sigmas);
@@ -68,28 +55,22 @@ int run() {
       report.count_samples(4 * cfg.eval_samples);  // yo / ours / topk / allbuf
 
       const feas::YieldResult yo =
-          feas::original_yield(pc.graph, t, eval_delays, cfg.eval_samples,
-                               cfg.threads, fill_delays);
-      fill_delays = false;
-      const feas::YieldEvaluator ours(pc.graph, res.plan, t);
-      const feas::YieldResult y =
-          ours.evaluate(eval_delays, cfg.eval_samples, cfg.threads, false);
+          feas::original_yield(pc.graph, t, eval_verdicts, cfg.threads);
+      const feas::YieldResult y = feas::YieldEvaluator(pc.graph, res.plan, t)
+                                      .evaluate(eval_verdicts, cfg.threads);
 
       const feas::TuningPlan topk = core::top_k_criticality_plan(
-          pc.graph, insert_delays, t, cfg.samples,
+          pc.graph, insert_sampler, t, cfg.samples,
           res.plan.physical_buffers(), cfg.insertion().steps, res.step_ps,
-          cfg.threads, fill_insert);
-      fill_insert = false;
-      const double y_topk =
-          feas::YieldEvaluator(pc.graph, topk, t)
-              .evaluate(eval_delays, cfg.eval_samples, cfg.threads, false)
-              .yield;
+          cfg.threads);
+      const double y_topk = feas::YieldEvaluator(pc.graph, topk, t)
+                                .evaluate(eval_verdicts, cfg.threads)
+                                .yield;
       const feas::TuningPlan allbuf =
           core::oracle_plan(pc.graph, cfg.insertion().steps, res.step_ps);
-      const double y_all =
-          feas::YieldEvaluator(pc.graph, allbuf, t)
-              .evaluate(eval_delays, cfg.eval_samples, cfg.threads, false)
-              .yield;
+      const double y_all = feas::YieldEvaluator(pc.graph, allbuf, t)
+                               .evaluate(eval_verdicts, cfg.threads)
+                               .yield;
 
       core::TableRow row;
       row.circuit = spec.name;

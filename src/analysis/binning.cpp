@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "core/report_json.h"
-#include "mc/delay_cache.h"
 #include "mc/sampler.h"
 #include "obs/metrics.h"
 #include "util/assert.h"
@@ -128,10 +127,6 @@ BinningReport compute_binning(const ssta::SeqGraph& graph,
   }
 
   const mc::Sampler sampler(graph, eval_seed);
-  // Stream-mode delay cache: the fill protocol computes each chip's delays
-  // exactly once per pass, and there is exactly one pass — every rung reads
-  // the same view.
-  mc::SampleDelayCache delays(sampler, samples, 0);
 
   struct Partial {
     std::vector<std::uint64_t> original_passing;
@@ -154,7 +149,11 @@ BinningReport compute_binning(const ssta::SeqGraph& graph,
         Partial& p = partial[w];
         mc::ArcSample scratch;
         for (std::size_t k = begin; k < end; ++k) {
-          const mc::ArcDelaysView view = delays.fill(k, scratch);
+          // Each chip is drawn once; every rung reads the same delays.
+          sampler.evaluate(k, scratch);
+          const mc::ArcDelaysView view{scratch.dmax.data(),
+                                       scratch.dmin.data(),
+                                       scratch.dmax.size()};
           bool sold = false;
           for (std::size_t r = 0; r < rungs; ++r) {
             p.original_passing[r] += original[r].sample_feasible(view) ? 1 : 0;

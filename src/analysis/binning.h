@@ -8,10 +8,10 @@
 // whose *fastest* feasible bin it is (the sell histogram), and overall the
 // unsellable fraction and the expected sell period.
 //
-// The ladder is nearly free: each Monte-Carlo chip is sampled exactly once
-// (through the SampleDelayCache fill protocol — realised delays do not
-// depend on the clock period) and every rung re-evaluates the same delays
-// against its own precomputed constraint graph.  A metrics counter pair
+// The ladder is nearly free: each Monte-Carlo chip is drawn exactly once
+// (Sampler::evaluate — realised delays do not depend on the clock period)
+// and every rung re-evaluates the same delays against its own precomputed
+// constraint graph.  A metrics counter pair
 // (sampling passes vs rung evaluations) makes the no-per-rung-resampling
 // property observable and testable.  All tallies are integer counts summed
 // across worker partials, so reports are bit-identical for any thread

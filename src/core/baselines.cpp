@@ -4,18 +4,20 @@
 #include <numeric>
 #include <vector>
 
+#include "mc/arc_screen.h"
+#include "util/assert.h"
 #include "util/thread_pool.h"
 
 namespace clktune::core {
 
-namespace {
-
-/// Shared ranking body: `delays_of(s, scratch)` yields sample s's realised
-/// delays (drawn directly or through a cache).
-template <class DelaysOf>
-std::vector<std::uint64_t> criticality_incidence_impl(
-    const ssta::SeqGraph& graph, double clock_period_ps,
-    std::uint64_t samples, int threads, const DelaysOf& delays_of) {
+std::vector<std::uint64_t> criticality_incidence(const ssta::SeqGraph& graph,
+                                                 const mc::Sampler& sampler,
+                                                 double clock_period_ps,
+                                                 std::uint64_t samples,
+                                                 int threads) {
+  // A setup-only screen: the step is never read, and only the arcs some
+  // chip could violate in setup at this period need a look.
+  const mc::ArcScreen screen(sampler, clock_period_ps, 1.0);
   const std::size_t workers = util::resolve_thread_count(
       threads <= 0 ? 0 : static_cast<std::size_t>(threads));
   std::vector<std::vector<std::uint64_t>> partial(
@@ -25,20 +27,16 @@ std::vector<std::uint64_t> criticality_incidence_impl(
   util::parallel_chunks(
       static_cast<std::size_t>(samples), workers,
       [&](std::size_t w, std::size_t begin, std::size_t end) {
-        mc::ArcSample scratch;
         for (std::size_t s = begin; s < end; ++s) {
-          const mc::ArcDelaysView view = delays_of(s, scratch);
-          for (std::size_t e = 0; e < graph.arcs.size(); ++e) {
-            const ssta::SeqArc& arc = graph.arcs[e];
+          const std::array<double, ssta::kParams> z = sampler.globals(s);
+          for (const int e : screen.setup_risk_arcs()) {
+            if (!screen.setup_violated(s, z, static_cast<std::size_t>(e)))
+              continue;
+            const ssta::SeqArc& arc = graph.arcs[static_cast<std::size_t>(e)];
             const auto i = static_cast<std::size_t>(arc.src_ff);
             const auto j = static_cast<std::size_t>(arc.dst_ff);
-            const double slack = clock_period_ps - graph.setup_ps[j] -
-                                 view.dmax[e] + graph.skew_ps[j] -
-                                 graph.skew_ps[i];
-            if (slack < 0.0) {
-              ++partial[w][i];
-              if (i != j) ++partial[w][j];
-            }
+            ++partial[w][i];
+            if (i != j) ++partial[w][j];
           }
         }
       });
@@ -50,32 +48,14 @@ std::vector<std::uint64_t> criticality_incidence_impl(
   return incidence;
 }
 
-}  // namespace
-
-std::vector<std::uint64_t> criticality_incidence(const ssta::SeqGraph& graph,
-                                                 const mc::Sampler& sampler,
-                                                 double clock_period_ps,
-                                                 std::uint64_t samples,
-                                                 int threads) {
-  return criticality_incidence_impl(
-      graph, clock_period_ps, samples, threads,
-      [&](std::size_t s, mc::ArcSample& scratch) {
-        sampler.evaluate(s, scratch);
-        return mc::ArcDelaysView{scratch.dmax.data(), scratch.dmin.data(),
-                                 graph.arcs.size()};
-      });
-}
-
 std::vector<std::uint64_t> criticality_incidence(const ssta::SeqGraph& graph,
                                                  mc::SampleDelayCache& delays,
                                                  double clock_period_ps,
                                                  std::uint64_t samples,
-                                                 int threads, bool fill) {
-  return criticality_incidence_impl(
-      graph, clock_period_ps, samples, threads,
-      [&](std::size_t s, mc::ArcSample& scratch) {
-        return fill ? delays.fill(s, scratch) : delays.get(s, scratch);
-      });
+                                                 int threads, bool /*fill*/) {
+  CLKTUNE_EXPECTS(samples == delays.samples());
+  return criticality_incidence(graph, delays.sampler(), clock_period_ps,
+                               samples, threads);
 }
 
 feas::TuningPlan plan_from_incidence(

@@ -19,19 +19,21 @@
 
 namespace clktune::core {
 
-/// Per-flip-flop incidence to failing setup arcs at x = 0 over `samples`
-/// Monte-Carlo chips — the ranking statistic behind top_k_criticality_plan,
-/// exposed so callers that need it more than once (several k values, or the
-/// criticality analysis engine reporting it next to binding probabilities)
-/// compute it exactly once.
+/// Per-flip-flop incidence to failing setup arcs (raw slack < 0) at x = 0
+/// over `samples` Monte-Carlo chips — the ranking statistic behind
+/// top_k_criticality_plan, exposed so callers that need it more than once
+/// (several k values, or the criticality analysis engine reporting it next
+/// to binding probabilities) compute it exactly once.  Runs on a setup-only
+/// arc screen: per chip it looks only at the arcs some chip could violate
+/// at this period.
 std::vector<std::uint64_t> criticality_incidence(const ssta::SeqGraph& graph,
                                                  const mc::Sampler& sampler,
                                                  double clock_period_ps,
                                                  std::uint64_t samples,
                                                  int threads = 0);
 
-/// Same statistic through a shared delay cache (fill=true computes and
-/// stores the delays; fill=false reuses them).
+/// Same statistic over the shim's sampler (mc/delay_cache.h); `samples`
+/// must equal delays.samples(), and `fill` is ignored.
 std::vector<std::uint64_t> criticality_incidence(const ssta::SeqGraph& graph,
                                                  mc::SampleDelayCache& delays,
                                                  double clock_period_ps,
@@ -56,9 +58,7 @@ feas::TuningPlan top_k_criticality_plan(const ssta::SeqGraph& graph,
                                         int steps, double step_ps,
                                         int threads = 0);
 
-/// Same ranking through a shared delay cache (delays are clock-period
-/// independent, so one cache serves every setting).  fill=true computes
-/// and stores the delays; fill=false reuses them.
+/// Same ranking over the shim's sampler (mc/delay_cache.h).
 feas::TuningPlan top_k_criticality_plan(const ssta::SeqGraph& graph,
                                         mc::SampleDelayCache& delays,
                                         double clock_period_ps,

@@ -235,6 +235,9 @@ feas::TuningPlan tuning_plan_from_json(const util::Json& result_json) {
     w.k_hi = static_cast<int>(range[1].as_int());
     if (w.ff < 0 || w.k_lo > w.k_hi)
       throw util::JsonError("result: malformed buffer window");
+    // The yield evaluator requires x = 0 to be a configuration.
+    if (w.k_lo > 0 || w.k_hi < 0)
+      throw util::JsonError("result: buffer window must contain 0");
     plan.buffers.push_back(w);
     const int g = static_cast<int>(groups[i].as_int());
     if (g < 0) throw util::JsonError("result: negative group id");

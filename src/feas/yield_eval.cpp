@@ -12,11 +12,12 @@ namespace clktune::feas {
 
 namespace {
 
-/// MC hot-path metrics.  The evaluate() loops record into these from the
-/// worker threads: one counter add per *chunk* (not per sample) and one
-/// timed solve every 64th sample, so the instrumentation stays strictly
-/// bounded — sample_feasible itself is untouched, which is what keeps the
-/// zero-allocation assertions and the perf gate honest.
+/// MC hot-path metrics.  The evaluate() loop records into these from the
+/// worker threads: one counter add per *chunk* (not per sample), counting
+/// every chip it decides, and one timed decision every 64th sample, so the
+/// instrumentation stays strictly bounded — judge() itself is untouched,
+/// which is what keeps the zero-allocation assertions and the perf gate
+/// honest.
 struct McMetrics {
   obs::Counter& samples;
   obs::Histogram& solve_seconds;
@@ -62,8 +63,13 @@ YieldEvaluator::YieldEvaluator(const ssta::SeqGraph& graph, TuningPlan plan,
     var_of_ff_[static_cast<std::size_t>(ff)] = plan_.group_of[i];
   }
   group_windows_.clear();
-  for (int g = 0; g < plan_.num_groups; ++g)
+  for (int g = 0; g < plan_.num_groups; ++g) {
     group_windows_.push_back(plan_.group_window(g));
+    // evaluate() passes every chip that passes untuned, which holds under
+    // the plan only when x = 0 is a configuration.
+    CLKTUNE_EXPECTS(group_windows_.back().k_lo <= 0 &&
+                    group_windows_.back().k_hi >= 0);
+  }
 
   // Static topology: the reference node is plan_.num_groups.
   const int ref = plan_.num_groups;
@@ -115,7 +121,7 @@ struct SampledDelays {
   }
 };
 
-/// Delay provider reading a precomputed cache slice.
+/// Delay provider reading already drawn delays.
 struct CachedDelays {
   mc::ArcDelaysView view;
 
@@ -162,13 +168,51 @@ bool YieldEvaluator::solve_sample_impl(const Delays& provider,
         mc::floor_steps(hold_c, step);
   }
 
-  // ---- SPFA over the static topology ------------------------------------
+  return spfa_feasible(ws);
+}
+
+bool YieldEvaluator::spfa_feasible(Workspace& ws) const {
   return spfa_potentials(
       plan_.num_groups + 1, ws.spfa,
       [&](int v) { return head_[static_cast<std::size_t>(v)]; },
       [&](int e) { return edge_next_[static_cast<std::size_t>(e)]; },
       [&](int e) { return edge_to_[static_cast<std::size_t>(e)]; },
       [&](int e) { return ws.weights[static_cast<std::size_t>(e)]; });
+}
+
+bool YieldEvaluator::judge(const mc::ArcScreen& screen, std::uint64_t k,
+                           const mc::ChipVerdict& verdict) const {
+  thread_local Workspace ws;
+  const ssta::SeqGraph& graph = *graph_;
+  const std::array<double, ssta::kParams> z = screen.sampler().globals(k);
+  const auto check_only = [&](int e) {
+    const ssta::SeqArc& arc = graph.arcs[static_cast<std::size_t>(e)];
+    return var_of_ff_[static_cast<std::size_t>(arc.src_ff)] ==
+           var_of_ff_[static_cast<std::size_t>(arc.dst_ff)];
+  };
+
+  // ---- check-only arcs: raw sign tests, on arcs that can fail ----------
+  for (const int e : screen.setup_risk_arcs())
+    if (check_only(e) &&
+        screen.setup_violated(k, z, static_cast<std::size_t>(e)))
+      return false;
+  // Without H_k every hold slack of the chip is non-negative.
+  if (verdict.hold_fail)
+    for (const int e : screen.hold_risk_arcs())
+      if (check_only(e) &&
+          screen.hold_violated(k, z, static_cast<std::size_t>(e)))
+        return false;
+  if (edge_arcs_.empty() && plan_.num_groups == 0) return true;
+
+  // ---- edge arcs: exact constants, then SPFA ---------------------------
+  ws.weights.assign(weights_template_.begin(), weights_template_.end());
+  for (const EdgeArc& ea : edge_arcs_) {
+    std::int32_t setup = 0, hold = 0;
+    screen.constants(k, z, static_cast<std::size_t>(ea.arc), setup, hold);
+    ws.weights[static_cast<std::size_t>(ea.setup_slot)] = setup;
+    ws.weights[static_cast<std::size_t>(ea.hold_slot)] = hold;
+  }
+  return spfa_feasible(ws);
 }
 
 bool YieldEvaluator::solve_sample(const mc::Sampler& sampler, std::uint64_t k,
@@ -217,6 +261,32 @@ std::optional<std::vector<int>> YieldEvaluator::find_configuration(
 YieldResult YieldEvaluator::evaluate(const mc::Sampler& sampler,
                                      std::uint64_t samples,
                                      int threads) const {
+  return evaluate(mc::ChipVerdicts(sampler, samples, threads), threads);
+}
+
+YieldResult YieldEvaluator::evaluate(const mc::ChipVerdicts& verdicts,
+                                     int threads) const {
+  const std::uint64_t samples = verdicts.samples();
+  const mc::ArcScreen screen(verdicts.sampler(), clock_period_,
+                             plan_.step_ps);
+  const double band = screen.rounding_band();
+  // With no arc between two variables tuning changes no constraint, and
+  // the untuned verdict is final.
+  const bool untunable = edge_arcs_.empty();
+  const auto passes = [&](std::uint64_t k) {
+    const mc::ChipVerdict& v = verdicts[k];
+    switch (v.untuned_at(clock_period_, band)) {
+      case mc::ChipVerdict::Untuned::passes:
+        return true;
+      case mc::ChipVerdict::Untuned::fails:
+        if (untunable) return false;
+        break;
+      case mc::ChipVerdict::Untuned::unsure:
+        break;
+    }
+    return judge(screen, k, v);
+  };
+
   const std::size_t workers = util::resolve_thread_count(
       threads <= 0 ? 0 : static_cast<std::size_t>(threads));
   std::vector<std::uint64_t> passing(workers, 0);
@@ -227,10 +297,10 @@ YieldResult YieldEvaluator::evaluate(const mc::Sampler& sampler,
         for (std::size_t k = begin; k < end; ++k) {
           if ((k & (kSolveTimingStride - 1)) == 0) {
             const std::uint64_t t0 = obs::steady_now_ns();
-            passing[w] += sample_feasible(sampler, k) ? 1 : 0;
+            passing[w] += passes(k) ? 1 : 0;
             metrics.solve_seconds.record(obs::steady_now_ns() - t0);
           } else {
-            passing[w] += sample_feasible(sampler, k) ? 1 : 0;
+            passing[w] += passes(k) ? 1 : 0;
           }
         }
         metrics.samples.inc(end - begin);
@@ -248,38 +318,9 @@ YieldResult YieldEvaluator::evaluate(const mc::Sampler& sampler,
 
 YieldResult YieldEvaluator::evaluate(mc::SampleDelayCache& delays,
                                      std::uint64_t samples, int threads,
-                                     bool fill) const {
-  CLKTUNE_EXPECTS(samples <= delays.samples());
-  const std::size_t workers = util::resolve_thread_count(
-      threads <= 0 ? 0 : static_cast<std::size_t>(threads));
-  std::vector<std::uint64_t> passing(workers, 0);
-  util::parallel_chunks(
-      static_cast<std::size_t>(samples), workers,
-      [&](std::size_t w, std::size_t begin, std::size_t end) {
-        McMetrics& metrics = McMetrics::get();
-        mc::ArcSample scratch;
-        for (std::size_t k = begin; k < end; ++k) {
-          const mc::ArcDelaysView view =
-              fill ? delays.fill(k, scratch) : delays.get(k, scratch);
-          if ((k & (kSolveTimingStride - 1)) == 0) {
-            const std::uint64_t t0 = obs::steady_now_ns();
-            passing[w] += sample_feasible(view) ? 1 : 0;
-            metrics.solve_seconds.record(obs::steady_now_ns() - t0);
-          } else {
-            passing[w] += sample_feasible(view) ? 1 : 0;
-          }
-        }
-        metrics.samples.inc(end - begin);
-      });
-  YieldResult result;
-  result.samples = samples;
-  for (std::uint64_t p : passing) result.passing += p;
-  result.yield = samples == 0
-                     ? 0.0
-                     : static_cast<double>(result.passing) /
-                           static_cast<double>(samples);
-  result.ci95 = util::yield_ci95(result.yield, samples);
-  return result;
+                                     bool /*fill*/) const {
+  CLKTUNE_EXPECTS(samples == delays.samples());
+  return evaluate(delays.verdicts(threads), threads);
 }
 
 namespace {
@@ -296,15 +337,22 @@ TuningPlan empty_plan() {
 YieldResult original_yield(const ssta::SeqGraph& graph, double clock_period_ps,
                            const mc::Sampler& sampler, std::uint64_t samples,
                            int threads) {
-  const YieldEvaluator eval(graph, empty_plan(), clock_period_ps);
-  return eval.evaluate(sampler, samples, threads);
+  return original_yield(graph, clock_period_ps,
+                        mc::ChipVerdicts(sampler, samples, threads), threads);
+}
+
+YieldResult original_yield(const ssta::SeqGraph& graph, double clock_period_ps,
+                           const mc::ChipVerdicts& verdicts, int threads) {
+  return YieldEvaluator(graph, empty_plan(), clock_period_ps)
+      .evaluate(verdicts, threads);
 }
 
 YieldResult original_yield(const ssta::SeqGraph& graph, double clock_period_ps,
                            mc::SampleDelayCache& delays,
-                           std::uint64_t samples, int threads, bool fill) {
-  const YieldEvaluator eval(graph, empty_plan(), clock_period_ps);
-  return eval.evaluate(delays, samples, threads, fill);
+                           std::uint64_t samples, int threads, bool /*fill*/) {
+  CLKTUNE_EXPECTS(samples == delays.samples());
+  return original_yield(graph, clock_period_ps, delays.verdicts(threads),
+                        threads);
 }
 
 YieldReport evaluate_yield_report(const ssta::SeqGraph& graph,
@@ -316,10 +364,10 @@ YieldReport evaluate_yield_report(const ssta::SeqGraph& graph,
   report.clock_period_ps = clock_period_ps;
   report.eval_seed = eval_seed;
   const mc::Sampler sampler(graph, eval_seed);
-  report.original =
-      original_yield(graph, clock_period_ps, sampler, samples, threads);
-  report.tuned = YieldEvaluator(graph, plan, clock_period_ps)
-                     .evaluate(sampler, samples, threads);
+  const mc::ChipVerdicts verdicts(sampler, samples, threads);
+  report.original = original_yield(graph, clock_period_ps, verdicts, threads);
+  report.tuned =
+      YieldEvaluator(graph, plan, clock_period_ps).evaluate(verdicts, threads);
   return report;
 }
 

@@ -8,18 +8,26 @@
 // sample on grid-floored constants.  The arc partition is computed once at
 // construction:
 //
-//   * check-only arcs — both endpoints unbuffered, so tuning cancels: per
-//     sample they reduce to a sign test on the raw constants, evaluated
-//     first with early exit (a failing chip is rejected before most of its
-//     arcs are even sampled);
+//   * check-only arcs — both endpoints on one variable, so tuning cancels:
+//     per sample they reduce to a sign test on the raw constants;
 //   * edge arcs — incident to a tuned group: their constraint-graph
 //     topology is static, so the SPFA graph is built once and only the two
 //     weights per arc are rewritten per sample.
 //
-// This collapses the per-sample graph from |E| to the handful of
-// buffer-adjacent arcs, and the steady-state check performs zero heap
-// allocations (per-thread workspace).  Evaluation uses its own seed so
-// reported yields are out-of-sample relative to the insertion run.
+// evaluate() judges each chip once on the arc screen (mc/arc_screen.h).
+// Every window contains 0 — the constructor asserts it — so a chip that
+// passes untuned passes under any plan, and its verdict (P_k, H_k) says so
+// without a look at its arcs: it passes at T unless it fails hold or
+// P_k > T - band.  Only the other chips are judged: a check-only arc that
+// the screen finds violated fails the chip at once (setup arcs only from
+// the screen's short list of arcs some chip could violate at T, hold arcs
+// only when H_k), and otherwise SPFA runs over the edge arcs' exact
+// constants.  Within the rounding band of P_k the judgement is the exact
+// check, so every count equals the dense per-chip loop's.  The untuned
+// yield Yo is the same evaluation with an empty plan: a count over the
+// verdicts.  The steady-state judgement performs zero heap allocations
+// (per-thread workspace).  Evaluation uses its own seed so reported yields
+// are out-of-sample relative to the insertion run.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +36,9 @@
 
 #include "feas/spfa.h"
 #include "feas/tuning_plan.h"
+#include "mc/arc_screen.h"
 #include "mc/delay_cache.h"
+#include "mc/period_mc.h"
 #include "mc/sampler.h"
 #include "ssta/seq_graph.h"
 #include "util/stats.h"
@@ -44,15 +54,24 @@ struct YieldResult {
 
 class YieldEvaluator {
  public:
+  /// Every group window must contain 0.
   YieldEvaluator(const ssta::SeqGraph& graph, TuningPlan plan,
                  double clock_period_ps);
 
   /// Does sample k (drawn via `sampler`) admit a feasible configuration?
-  /// Zero heap allocations in steady state (per-thread workspace).
+  /// Draws arcs on demand, check-only arcs first with early exit.  Zero
+  /// heap allocations in steady state (per-thread workspace).
   bool sample_feasible(const mc::Sampler& sampler, std::uint64_t k) const;
 
-  /// Same question over precomputed delays (a delay-cache slice).
+  /// Same question over already drawn delays.
   bool sample_feasible(const mc::ArcDelaysView& delays) const;
+
+  /// Same question on the arc screen, for chip k with verdict `verdict`;
+  /// `screen` must be at this evaluator's period and the plan's step.
+  /// Equals sample_feasible(screen.sampler(), k).  Zero heap allocations in
+  /// steady state.
+  bool judge(const mc::ArcScreen& screen, std::uint64_t k,
+             const mc::ChipVerdict& verdict) const;
 
   /// Buffer configuration (delay steps per physical group) for sample k, or
   /// nullopt when the chip cannot be rescued.  This is the post-silicon
@@ -60,9 +79,9 @@ class YieldEvaluator {
   std::optional<std::vector<int>> find_configuration(
       const mc::Sampler& sampler, std::uint64_t k) const;
 
-  /// Same question over precomputed delays (a delay-cache slice), so a
-  /// caller that already materialised a sample's delays — the criticality
-  /// engine visits every arc anyway — does not pay a second sampling pass.
+  /// Same question over already drawn delays, so a caller that
+  /// materialised a sample's delays — the criticality engine visits every
+  /// arc anyway — does not pay a second sampling pass.
   std::optional<std::vector<int>> find_configuration(
       const mc::ArcDelaysView& delays) const;
 
@@ -73,14 +92,19 @@ class YieldEvaluator {
     return var_of_ff_[static_cast<std::size_t>(ff)];
   }
 
-  /// Yield over `samples` Monte-Carlo chips.
+  /// Yield over `samples` Monte-Carlo chips: their verdicts, then
+  /// evaluate(verdicts).
   YieldResult evaluate(const mc::Sampler& sampler, std::uint64_t samples,
                        int threads = 0) const;
 
-  /// Yield through a shared delay cache: with fill=true this evaluation
-  /// computes (and stores) every sample's delays; with fill=false it reuses
-  /// them, skipping the sampling work entirely when the cache is resident.
-  /// Results are bit-identical to the plain overload.
+  /// Yield over the chips of a verdict set: every chip that passes untuned
+  /// passes, the rest are judged.  Equal to counting sample_feasible over
+  /// the same chips, at every thread count.
+  YieldResult evaluate(const mc::ChipVerdicts& verdicts,
+                       int threads = 0) const;
+
+  /// evaluate() over the shim's verdicts (mc/delay_cache.h); `samples`
+  /// must equal delays.samples(), and `fill` is ignored.
   YieldResult evaluate(mc::SampleDelayCache& delays, std::uint64_t samples,
                        int threads, bool fill) const;
 
@@ -108,6 +132,8 @@ class YieldEvaluator {
   /// Feasibility of sample k; on success ws.dist holds the potentials.
   bool solve_sample(const mc::Sampler& sampler, std::uint64_t k,
                     Workspace& ws) const;
+  /// SPFA over the static topology with ws.weights filled in.
+  bool spfa_feasible(Workspace& ws) const;
   /// Per-group delay steps from a feasible workspace (reference at zero).
   std::vector<int> config_from_workspace(const Workspace& ws) const;
   template <class Delays>
@@ -142,7 +168,12 @@ YieldResult original_yield(const ssta::SeqGraph& graph, double clock_period_ps,
                            const mc::Sampler& sampler, std::uint64_t samples,
                            int threads = 0);
 
-/// original_yield through a shared delay cache (see YieldEvaluator).
+/// Yo over a verdict set: a count, with an exact check only for chips
+/// whose P_k lies within rounding distance of the period.
+YieldResult original_yield(const ssta::SeqGraph& graph, double clock_period_ps,
+                           const mc::ChipVerdicts& verdicts, int threads = 0);
+
+/// original_yield over the shim's verdicts (mc/delay_cache.h).
 YieldResult original_yield(const ssta::SeqGraph& graph, double clock_period_ps,
                            mc::SampleDelayCache& delays,
                            std::uint64_t samples, int threads, bool fill);
@@ -161,7 +192,7 @@ struct YieldReport {
 };
 
 /// Evaluates original and tuned yield over `samples` fresh Monte-Carlo chips
-/// drawn with `eval_seed`.
+/// drawn with `eval_seed`, from one verdict set.
 YieldReport evaluate_yield_report(const ssta::SeqGraph& graph,
                                   const TuningPlan& plan,
                                   double clock_period_ps,

@@ -1,63 +1,53 @@
 #include "mc/period_mc.h"
 
-#include <algorithm>
-#include <vector>
-
 #include "util/thread_pool.h"
 
 namespace clktune::mc {
 
-double sample_period(const Sampler&, const ArcSample& arc_sample,
-                     const ssta::SeqGraph& graph) {
-  double period = 0.0;
-  for (std::size_t e = 0; e < graph.arcs.size(); ++e) {
-    const ssta::SeqArc& arc = graph.arcs[e];
-    const double t = arc_sample.dmax[e] +
-                     graph.setup_ps[static_cast<std::size_t>(arc.dst_ff)] +
-                     graph.skew_ps[static_cast<std::size_t>(arc.src_ff)] -
-                     graph.skew_ps[static_cast<std::size_t>(arc.dst_ff)];
-    period = std::max(period, t);
-  }
-  return period;
+namespace {
+
+std::size_t workers_for(int threads) {
+  return util::resolve_thread_count(
+      threads <= 0 ? 0 : static_cast<std::size_t>(threads));
+}
+
+}  // namespace
+
+ChipVerdicts::ChipVerdicts(const Sampler& sampler, std::uint64_t samples,
+                           int threads)
+    : sampler_(&sampler), verdicts_(static_cast<std::size_t>(samples)) {
+  // The pass reads no clock period or step, so a screen at T = 0 serves,
+  // and its rounding allowances carry no period term.
+  const ArcScreen screen(sampler, 0.0, 1.0);
+  util::parallel_chunks(
+      verdicts_.size(), workers_for(threads),
+      [&](std::size_t, std::size_t begin, std::size_t end) {
+        for (std::size_t k = begin; k < end; ++k)
+          verdicts_[k] = screen.verdict(k);
+      });
+}
+
+PeriodStats ChipVerdicts::period_stats(int threads) const {
+  PeriodStats total;
+  util::serial_chunks(
+      verdicts_.size(), workers_for(threads),
+      [&](std::size_t, std::size_t begin, std::size_t end) {
+        PeriodStats part;
+        for (std::size_t k = begin; k < end; ++k) {
+          part.period.add(verdicts_[k].period);
+          part.hold_failures += verdicts_[k].period_hold_fail ? 1 : 0;
+          ++part.samples;
+        }
+        total.period.merge(part.period);
+        total.hold_failures += part.hold_failures;
+        total.samples += part.samples;
+      });
+  return total;
 }
 
 PeriodStats sample_min_period(const Sampler& sampler, std::uint64_t samples,
                               int threads) {
-  const ssta::SeqGraph& graph = sampler.graph();
-  const std::size_t workers = util::resolve_thread_count(
-      threads <= 0 ? 0 : static_cast<std::size_t>(threads));
-  std::vector<PeriodStats> partial(workers);
-
-  util::parallel_chunks(
-      static_cast<std::size_t>(samples), workers,
-      [&](std::size_t w, std::size_t begin, std::size_t end) {
-        ArcSample arc_sample;
-        PeriodStats& acc = partial[w];
-        for (std::size_t k = begin; k < end; ++k) {
-          sampler.evaluate(k, arc_sample);
-          acc.period.add(sample_period(sampler, arc_sample, graph));
-          bool hold_fail = false;
-          for (std::size_t e = 0; e < graph.arcs.size() && !hold_fail; ++e) {
-            const ssta::SeqArc& arc = graph.arcs[e];
-            const double margin =
-                arc_sample.dmin[e] -
-                graph.hold_ps[static_cast<std::size_t>(arc.dst_ff)] -
-                graph.skew_ps[static_cast<std::size_t>(arc.dst_ff)] +
-                graph.skew_ps[static_cast<std::size_t>(arc.src_ff)];
-            hold_fail = margin < 0.0;
-          }
-          acc.hold_failures += hold_fail ? 1 : 0;
-          ++acc.samples;
-        }
-      });
-
-  PeriodStats total;
-  for (const PeriodStats& p : partial) {
-    total.period.merge(p.period);
-    total.hold_failures += p.hold_failures;
-    total.samples += p.samples;
-  }
-  return total;
+  return ChipVerdicts(sampler, samples, threads).period_stats(threads);
 }
 
 }  // namespace clktune::mc

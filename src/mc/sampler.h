@@ -17,10 +17,19 @@
 
 namespace clktune::mc {
 
-/// Per-sample realised arc delays and derived constraint constants.
+/// Per-sample realised arc delays: the dense draw the screened judgements
+/// are checked against, and what the per-chip analyses that read every arc
+/// (criticality, binning) work on.
 struct ArcSample {
   std::vector<double> dmax;
   std::vector<double> dmin;
+};
+
+/// Borrowed view of one sample's realised delays.
+struct ArcDelaysView {
+  const double* dmax = nullptr;
+  const double* dmin = nullptr;
+  std::size_t num_arcs = 0;
 };
 
 class Sampler {
@@ -41,16 +50,12 @@ class Sampler {
   /// Early delays are clamped to [0, dmax].
   void evaluate(std::uint64_t k, ArcSample& out) const;
 
-  /// Pointer-based evaluate(): writes into caller-owned arrays of
-  /// graph().arcs.size() entries (delay-cache slices, preallocated scratch).
-  void evaluate_into(std::uint64_t k, double* dmax, double* dmin) const;
-
   /// Realised late/early delay of a single arc of sample k, given the
   /// sample's global draws (from globals(k)).  A pure function of
   /// (seed, k, e): evaluating arcs one at a time, in any order or subset,
   /// yields exactly the values evaluate() would store — this is what lets
-  /// the yield evaluator early-exit and mc::ArcScreen compute only the
-  /// arcs it cannot clear, without materialising an ArcSample.
+  /// mc::ArcScreen compute only the arcs it cannot clear, without
+  /// materialising an ArcSample.
   void arc_delays(std::uint64_t k, std::size_t e,
                   const std::array<double, ssta::kParams>& z, double& late,
                   double& early) const {

@@ -23,6 +23,13 @@ void parallel_chunks(
     std::size_t n, std::size_t workers,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& fn);
 
+/// The same chunks as parallel_chunks(n, workers, fn), visited in worker
+/// order on the calling thread: a reduction over them merges partials
+/// exactly as the parallel loop's workers would have built them.
+void serial_chunks(
+    std::size_t n, std::size_t workers,
+    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn);
+
 /// Invoke fn(worker_index, i) for every i in [0, n), with worker w taking
 /// indices w, w + workers, w + 2*workers, ...  Interleaving spreads
 /// expensive clustered items evenly (Monte-Carlo samples with violations

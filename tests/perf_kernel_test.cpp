@@ -1,8 +1,10 @@
 // Tests for the zero-allocation sample kernel and the sparse constant
 // access of the insertion flow: DiffConstraints workspace semantics, the
 // shared quantizer, the arc screen and memo against the dense kernel
-// (evaluate + quantize_arc_constants), and steady-state allocation counts
-// in the Monte-Carlo inner loops.
+// (evaluate + quantize_arc_constants), the harness's delay-cache shim
+// against the dense yield reference, and steady-state allocation counts in
+// the Monte-Carlo inner loops, the verdict pass and flagged-chip judging
+// included.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,9 +17,11 @@
 #include "mc/arc_constants.h"
 #include "mc/arc_screen.h"
 #include "mc/delay_cache.h"
+#include "mc/period_mc.h"
 #include "mc/sampler.h"
 #include "netlist/generator.h"
 #include "netlist/nominal_sta.h"
+#include "reference/dense.h"
 #include "ssta/seq_graph.h"
 #include "util/alloc_counter.h"
 
@@ -298,38 +302,40 @@ TEST(ArcScreenTest, ScreenedSolveMatchesDenseSolve) {
 
 // ------------------------ delay cache equivalence --------------------------
 
+/// Buffers with +-10-step windows on every `stride`-th flip-flop.
+feas::TuningPlan strided_plan(const ssta::SeqGraph& graph, double step,
+                              int stride) {
+  feas::TuningPlan plan;
+  plan.step_ps = step;
+  for (int f = 0; f < graph.num_ffs; f += stride)
+    plan.buffers.push_back(feas::BufferWindow{f, -10, 10});
+  plan.reset_groups();
+  return plan;
+}
+
+// The shim stores no delays at any budget: every overload the harness calls
+// answers from its verdicts, and must equal the dense per-chip loop.
 TEST(DelayCacheTest, CachedEvaluationMatchesDirectEvaluation) {
   const KernelFixture fx;
   const mc::Sampler sampler(fx.graph, 555);
   const double t = fx.t0;
   const std::uint64_t n = 400;
+  const feas::YieldEvaluator eval(fx.graph,
+                                  strided_plan(fx.graph, t / 160.0, 1), t);
+  const std::uint64_t dense = reference::dense_passing(eval, sampler, n);
+  const std::uint64_t yo_dense = reference::dense_passing(
+      feas::YieldEvaluator(fx.graph, reference::no_buffers(), t), sampler, n);
+  ASSERT_GT(dense, yo_dense);  // the plan rescues chips
 
-  feas::TuningPlan plan;
-  plan.step_ps = t / 160.0;
-  for (int f = 0; f < fx.graph.num_ffs; f += 10)
-    plan.buffers.push_back(feas::BufferWindow{f, -10, 10});
-  plan.reset_groups();
-  const feas::YieldEvaluator eval(fx.graph, plan, t);
-
-  const feas::YieldResult direct = eval.evaluate(sampler, n, 1);
-
-  mc::SampleDelayCache cache(sampler, n, 1ull << 30);
-  ASSERT_TRUE(cache.caching());
-  const feas::YieldResult filled = eval.evaluate(cache, n, 1, true);
-  const feas::YieldResult reused = eval.evaluate(cache, n, 1, false);
-
-  mc::SampleDelayCache streaming(sampler, n, 0);
-  const feas::YieldResult streamed = eval.evaluate(streaming, n, 1, false);
-
-  EXPECT_EQ(direct.passing, filled.passing);
-  EXPECT_EQ(direct.passing, reused.passing);
-  EXPECT_EQ(direct.passing, streamed.passing);
-
-  const feas::YieldResult yo_direct =
-      feas::original_yield(fx.graph, t, sampler, n, 1);
-  const feas::YieldResult yo_cached =
-      feas::original_yield(fx.graph, t, cache, n, 1, false);
-  EXPECT_EQ(yo_direct.passing, yo_cached.passing);
+  for (const std::uint64_t budget : {std::uint64_t{1} << 30, std::uint64_t{0}}) {
+    mc::SampleDelayCache cache(sampler, n, budget);
+    EXPECT_EQ(cache.caching(), budget > 0);
+    EXPECT_EQ(eval.evaluate(cache, n, 1, true).passing, dense);
+    EXPECT_EQ(eval.evaluate(cache, n, 1, false).passing, dense);
+    EXPECT_EQ(feas::original_yield(fx.graph, t, cache, n, 1, false).passing,
+              yo_dense);
+  }
+  EXPECT_EQ(eval.evaluate(sampler, n, 1).passing, dense);
 }
 
 // ----------------------- zero-allocation guarantees ------------------------
@@ -359,12 +365,8 @@ TEST(ZeroAllocTest, YieldCheckSteadyStateDoesNotAllocate) {
   const KernelFixture fx;
   const mc::Sampler sampler(fx.graph, 321);
   const double t = fx.t0;
-  feas::TuningPlan plan;
-  plan.step_ps = t / 160.0;
-  for (int f = 0; f < fx.graph.num_ffs; f += 10)
-    plan.buffers.push_back(feas::BufferWindow{f, -10, 10});
-  plan.reset_groups();
-  const feas::YieldEvaluator eval(fx.graph, plan, t);
+  const feas::YieldEvaluator eval(fx.graph,
+                                  strided_plan(fx.graph, t / 160.0, 10), t);
 
   std::uint64_t passing = 0;
   for (std::uint64_t k = 0; k < 16; ++k)  // warm the per-thread workspace
@@ -376,6 +378,49 @@ TEST(ZeroAllocTest, YieldCheckSteadyStateDoesNotAllocate) {
   const std::uint64_t allocs = scope.delta();
   EXPECT_EQ(allocs, 0u);
   EXPECT_GT(passing, 0u);  // keep the loop observable
+}
+
+TEST(ZeroAllocTest, ChipVerdictPassDoesNotAllocate) {
+  const KernelFixture fx;
+  const mc::Sampler sampler(fx.graph, 321);
+  const mc::ArcScreen screen(sampler, 0.0, 1.0);
+
+  double period_sum = 0.0;
+  util::AllocCounterScope scope;
+  for (std::uint64_t k = 0; k < 200; ++k) period_sum += screen.verdict(k).period;
+  const std::uint64_t allocs = scope.delta();
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_GT(period_sum, 0.0);  // keep the loop observable
+}
+
+TEST(ZeroAllocTest, JudgingFlaggedChipsSteadyStateDoesNotAllocate) {
+  const KernelFixture fx;
+  const mc::Sampler sampler(fx.graph, 321);
+  const double t = fx.t0;
+  const feas::TuningPlan plan = strided_plan(fx.graph, t / 160.0, 1);
+  const feas::YieldEvaluator eval(fx.graph, plan, t);
+  const mc::ArcScreen screen(sampler, t, plan.step_ps);
+  const mc::ChipVerdicts verdicts(sampler, 600, 1);
+  // The chips evaluate() judges: those its verdict does not pass untuned.
+  std::vector<std::uint64_t> flagged;
+  for (std::uint64_t k = 0; k < verdicts.samples(); ++k)
+    if (verdicts[k].untuned_at(t, screen.rounding_band()) !=
+        mc::ChipVerdict::Untuned::passes)
+      flagged.push_back(k);
+  ASSERT_GE(flagged.size(), 100u);
+
+  std::uint64_t passing = 0;
+  for (std::size_t i = 0; i < 16; ++i)  // warm the per-thread workspace
+    passing += eval.judge(screen, flagged[i], verdicts[flagged[i]]) ? 1 : 0;
+
+  util::AllocCounterScope scope;
+  for (std::size_t i = 16; i < flagged.size(); ++i)
+    passing += eval.judge(screen, flagged[i], verdicts[flagged[i]]) ? 1 : 0;
+  const std::uint64_t allocs = scope.delta();
+  EXPECT_EQ(allocs, 0u);
+  // Both outcomes occur: rescued chips and chips the plan cannot help.
+  EXPECT_GT(passing, 0u);
+  EXPECT_LT(passing, flagged.size());
 }
 
 TEST(ZeroAllocTest, SolverPassingSamplesSteadyStateDoesNotAllocate) {
