@@ -353,6 +353,14 @@ void ScenarioServer::handle_connection(util::TcpSocket connection) {
       if (line.empty()) continue;
       try {
         handle_request(connection, line);
+      } catch (const util::JsonTooDeep& e) {
+        // Coded so a client can tell it from a malformed document; the
+        // line was read whole, so the connection stays usable.
+        try {
+          send_error(connection, e.what(), "too_deep");
+        } catch (const std::exception&) {
+          break;
+        }
       } catch (const std::exception& e) {
         // Parse/validation/runtime failure of one request; the connection
         // stays usable because requests are line-framed.

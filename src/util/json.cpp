@@ -193,6 +193,11 @@ class Parser {
 
  private:
   [[noreturn]] void fail(const std::string& msg) const {
+    throw JsonError(located(msg));
+  }
+
+  /// `msg` prefixed with the line and column of the parse position.
+  std::string located(const std::string& msg) const {
     std::size_t line = 1, col = 1;
     for (std::size_t i = 0; i < pos_ && i < text_.size(); ++i) {
       if (text_[i] == '\n') {
@@ -202,8 +207,8 @@ class Parser {
         ++col;
       }
     }
-    throw JsonError("json parse error at line " + std::to_string(line) +
-                    ", column " + std::to_string(col) + ": " + msg);
+    return "json parse error at line " + std::to_string(line) +
+           ", column " + std::to_string(col) + ": " + msg;
   }
 
   void skip_ws() {
@@ -249,7 +254,7 @@ class Parser {
       if (depth_ == kMaxDepth) {
         std::string msg("containers nested deeper than ");
         msg += std::to_string(kMaxDepth);
-        fail(msg);
+        throw JsonTooDeep(located(msg));
       }
       ++depth_;
       Json v = c == '{' ? parse_object() : parse_array();

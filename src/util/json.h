@@ -27,6 +27,12 @@ class JsonError : public std::runtime_error {
   explicit JsonError(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// Json::parse on containers nested deeper than its cap (512 levels).
+class JsonTooDeep : public JsonError {
+ public:
+  using JsonError::JsonError;
+};
+
 class Json;
 using JsonArray = std::vector<Json>;
 /// Members in insertion order (JSON objects are small here; linear lookup).

@@ -154,12 +154,18 @@ TEST_F(ServerFixture, MalformedAndInvalidRequestsReportErrors) {
   ASSERT_TRUE(reader.read_line(line));
   EXPECT_EQ(Json::parse(line).at("event").as_string(), "error");
 
-  // Pathological nesting gets an error frame too, and the daemon survives.
+  // Pathological nesting gets a coded error frame, its connection stays
+  // usable, and the daemon survives.
   const util::TcpSocket deep = util::tcp_connect("127.0.0.1", server_->port());
   util::tcp_write_all(deep, std::string(100000, '[') + "\n");
   util::LineReader deep_reader(deep);
   ASSERT_TRUE(deep_reader.read_line(line));
-  EXPECT_EQ(Json::parse(line).at("event").as_string(), "error");
+  const Json deep_frame = Json::parse(line);
+  EXPECT_EQ(deep_frame.at("event").as_string(), "error");
+  EXPECT_EQ(deep_frame.at("code").as_string(), "too_deep");
+  util::tcp_write_all(deep, "{\"cmd\":\"status\"}\n");
+  ASSERT_TRUE(deep_reader.read_line(line));
+  EXPECT_EQ(Json::parse(line).at("event").as_string(), "status");
   EXPECT_EQ(submit("status", Json()).final_event.at("event").as_string(),
             "status");
 }
