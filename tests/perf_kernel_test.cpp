@@ -327,7 +327,8 @@ TEST(DelayCacheTest, CachedEvaluationMatchesDirectEvaluation) {
       feas::YieldEvaluator(fx.graph, reference::no_buffers(), t), sampler, n);
   ASSERT_GT(dense, yo_dense);  // the plan rescues chips
 
-  for (const std::uint64_t budget : {std::uint64_t{1} << 30, std::uint64_t{0}}) {
+  for (const std::uint64_t budget :
+       {std::uint64_t{1} << 30, std::uint64_t{0}}) {
     mc::SampleDelayCache cache(sampler, n, budget);
     EXPECT_EQ(cache.caching(), budget > 0);
     EXPECT_EQ(eval.evaluate(cache, n, 1, true).passing, dense);
@@ -387,7 +388,8 @@ TEST(ZeroAllocTest, ChipVerdictPassDoesNotAllocate) {
 
   double period_sum = 0.0;
   util::AllocCounterScope scope;
-  for (std::uint64_t k = 0; k < 200; ++k) period_sum += screen.verdict(k).period;
+  for (std::uint64_t k = 0; k < 200; ++k)
+    period_sum += screen.verdict(k).period;
   const std::uint64_t allocs = scope.delta();
   EXPECT_EQ(allocs, 0u);
   EXPECT_GT(period_sum, 0.0);  // keep the loop observable
