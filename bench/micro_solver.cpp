@@ -153,7 +153,8 @@ void BM_PerSampleSolve(benchmark::State& state) {
       fx.graph, tau / 20.0, fx.t0,
       core::CandidateWindows::floating(fx.graph.num_ffs, 20));
   const mc::Sampler sampler(fx.graph, 99);
-  const mc::ArcScreen screen(sampler, fx.t0, tau / 20.0);
+  const mc::ArcScreen screen(sampler, fx.t0, tau / 20.0,
+                             mc::ArcScreen::Pass::violated_arcs);
   std::vector<std::vector<int>> violated(window);
   for (std::uint64_t k = 0; k < window; ++k)
     screen.violated_arcs(k, violated[k]);

@@ -51,15 +51,17 @@ void BM_ArcSampleEvaluation(benchmark::State& state) {
 }
 BENCHMARK(BM_ArcSampleEvaluation);
 
-// The screen the insertion flow runs on: one hash and a bound per arc,
-// exact constants only for the arcs it cannot clear.  Items are arcs, as in
+// The screen the insertion flow runs on: one hash and a width compare per
+// arc, the bound only for the arcs the compare cannot clear, and exact
+// constants only for those the bound cannot.  Items are arcs, as in
 // BM_ArcSampleEvaluation.
 void BM_ArcScreenSample(benchmark::State& state) {
   static const netlist::Design design = make_design(500, 4000);
   static const ssta::SeqGraph graph = ssta::extract_seq_graph(design);
   const mc::Sampler sampler(graph, 3);
   const mc::PeriodStats ps = mc::sample_min_period(sampler, 200);
-  const mc::ArcScreen screen(sampler, ps.mu(), ps.mu() / 160.0);
+  const mc::ArcScreen screen(sampler, ps.mu(), ps.mu() / 160.0,
+                             mc::ArcScreen::Pass::violated_arcs);
   std::vector<int> violated;
   std::uint64_t k = 0;
   for (auto _ : state) {
@@ -103,7 +105,8 @@ BENCHMARK(BM_YieldCheckPerSample);
 // BM_ArcSampleEvaluation.
 void BM_ChipVerdict(benchmark::State& state) {
   static const YieldFixture fx;
-  const mc::ArcScreen screen(fx.sampler, 0.0, 1.0);
+  const mc::ArcScreen screen(fx.sampler, 0.0, 1.0,
+                             mc::ArcScreen::Pass::verdict);
   std::uint64_t k = 0;
   for (auto _ : state) {
     const mc::ChipVerdict v = screen.verdict(k++);

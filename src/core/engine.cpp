@@ -109,7 +109,8 @@ InsertionResult BufferInsertionEngine::run() {
   res.plan.reset_groups();
 
   const mc::Sampler sampler(*graph_, config_.sample_seed);
-  const mc::ArcScreen screen(sampler, clock_period_, step_ps_);
+  const mc::ArcScreen screen(sampler, clock_period_, step_ps_,
+                            mc::ArcScreen::Pass::violated_arcs);
   std::vector<std::vector<int>> violated(samples);
 
   // ------------------- step 1: floating lower bounds ----------------------

@@ -21,18 +21,47 @@
 // violate in setup at the screen's period, or in hold at all, never need
 // a look.
 //
+// Width tables.  The two per-chip passes below visit every arc of every
+// chip, and nearly all of those arcs clear.  So they first try a check
+// without a flop: one byte W[b][e] per arc e and chip bucket b, the
+// smallest bit width at which the bound clears e for every chip whose
+// global draws have ||z||_2 <= R_b.  Arc e clears when
+// bit_width(h >> 11) >= W[b][e]; only an arc that fails this compare reads
+// its bound data and goes on to the bound and the exact draw.  W has a
+// closed form, because a.z <= ||a||_2 R_b (Cauchy-Schwarz) and the bound
+// is monotone in every term:
+//
+//   * setup clears when setup_base - 2 delta >= 0 (late_hi clamps at 0)
+//     and late_mu + ||a||_2 R_b + |aloc| Z[w] <= setup_base - 2 delta;
+//   * hold clears when hold_base >= 2 delta, or when the early and the
+//     late delay's lower bounds mu - ||a||_2 R_b - |aloc| Z[w] both reach
+//     2 delta - hold_base (early_lo is capped by late_lo).
+//
+// The margin is 2 delta, not delta, so rounding in the closed form cannot
+// clear an arc that the bound would not.  Every arc the compare clears,
+// the bound clears too, so the arcs drawn exactly, and every answer, are
+// the same as without the tables.  The bucket radii are 1, 1.5, 2, 2.5, 3,
+// 4, 6 and sqrt(3) Z[0]: ||z||_2 is <= 2 for about three chips in four and
+// <= 4 for 99.9% of them, and the last bucket holds every chip, since
+// every |z_p| <= Z[0].  A chip's ||z||_2 is rounded up before its bucket is
+// picked.  A screen builds only the table of the pass it serves (Pass), so
+// screens that answer single-arc queries pay for none.
+//
 // Three judgements run on it:
 //
 //   * violated_arcs(): the arcs whose quantized constants are negative, for
 //     the insertion engine, which reads every other constant it needs
-//     through ArcConstantMemo.
+//     through ArcConstantMemo.  Its table clears setup at the screen's
+//     period together with hold.
 //   * verdict(): chip k's critical setup period P_k and hold flag H_k,
 //     which do not depend on the clock period.  Arcs whose static reach
 //     cannot beat the running maximum and which cannot fail hold are passed
-//     over without a hash; the rest are bounded, and only an arc whose
-//     bit-width bound could raise the maximum or fail hold is drawn.  The
-//     arcs of highest nominal reach are drawn first, so the maximum is
-//     close to P_k before the sweep starts.
+//     over without a hash.  An arc whose static reach cannot beat the
+//     maximum but whose hold could fail tries the compare on a hold-only
+//     table, which does not depend on the period.  The rest are bounded,
+//     and only an arc whose bit-width bound could raise the maximum or fail
+//     hold is drawn.  The arcs of highest nominal reach are drawn first, so
+//     the maximum is close to P_k before the sweep starts.
 //   * setup_violated() / hold_violated(): the raw sign of one arc's slack,
 //     for the yield evaluator's flagged chips and the criticality ranking.
 //
@@ -79,16 +108,26 @@ struct ChipVerdict {
 
 class ArcScreen {
  public:
-  /// Precomputes the per-arc bound data; O(arcs).
-  ArcScreen(const Sampler& sampler, double clock_period_ps, double step_ps);
+  /// The per-chip pass a screen serves, if any; each reads its own width
+  /// table, which the constructor builds.
+  enum class Pass { none, violated_arcs, verdict };
+  /// Chip buckets of the width tables.
+  static constexpr std::size_t kBuckets = 8;
+  /// Width table entry of an arc that no bit width clears.
+  static constexpr int kNoWidth = 64;
+
+  /// Precomputes the per-arc bound data, and the width table of `pass`;
+  /// O(arcs).
+  ArcScreen(const Sampler& sampler, double clock_period_ps, double step_ps,
+            Pass pass = Pass::none);
 
   /// Replaces `violated` with the arcs of sample k whose setup or hold
-  /// constant is negative, in ascending order.  No allocation once
-  /// `violated` has the capacity.
+  /// constant is negative, in ascending order.  Needs Pass::violated_arcs.
+  /// No allocation once `violated` has the capacity.
   void violated_arcs(std::uint64_t k, std::vector<int>& violated) const;
 
-  /// Chip k's critical setup period and hold flags.  Reads neither the
-  /// screen's period nor its step; no allocation.
+  /// Chip k's critical setup period and hold flags.  Needs Pass::verdict.
+  /// Reads neither the screen's period nor its step; no allocation.
   ChipVerdict verdict(std::uint64_t k) const;
 
   /// Does arc e of sample k have a negative raw setup (hold) slack at the
@@ -123,6 +162,29 @@ class ArcScreen {
   double step_ps() const { return step_ps_; }
   std::size_t num_arcs() const { return bounds_.size(); }
 
+  // Read-only access to the width tables and the bound behind them.
+
+  /// R_b.  The last bucket's radius, sqrt(kParams) Z[0], holds every chip.
+  double bucket_radius(std::size_t b) const { return bucket_radius_[b]; }
+  /// The bucket of a chip with global draws `z`: the first whose radius
+  /// reaches ||z||_2, rounded up.
+  std::size_t bucket_of(const std::array<double, ssta::kParams>& z) const;
+  /// W[b][e] of the table the screen's pass reads; kNoWidth when no width
+  /// clears arc e.
+  int width_threshold(std::size_t b, std::size_t e) const {
+    return widths_[b * bounds_.size() + e];
+  }
+  /// Z[w]: the bound on |z_loc| of an arc whose hash has bit width w.
+  double local_bound(int w) const {
+    return local_bound_[static_cast<std::size_t>(w)];
+  }
+  /// The bound's two slacks on arc e for global draws `z` and
+  /// |z_loc| <= z_loc: setup_base - late_hi and hold_base + early_lo.  A
+  /// half clears when its slack reaches clear_margin(e).
+  void bound_slacks(std::size_t e, const std::array<double, ssta::kParams>& z,
+                    double z_loc, double& setup, double& hold) const;
+  double clear_margin(std::size_t e) const { return bounds_[e].delta; }
+
  private:
   /// What the screen needs of one arc and its canonical delays.
   struct ArcBound {
@@ -147,9 +209,18 @@ class ArcScreen {
   static void delay_bounds(const ArcBound& b,
                            const std::array<double, ssta::kParams>& z,
                            double z_loc, double& late_hi, double& early_lo);
-  /// Z[w] of arc e in sample k of a sampler seeded `seed`.
-  double local_bound(std::uint64_t seed, std::uint64_t k,
-                     std::size_t e) const;
+  /// Bit width of the hash behind arc e's local draw in sample k of a
+  /// sampler seeded `seed`: Z[width] bounds |z_loc|.
+  static int local_width(std::uint64_t seed, std::uint64_t k, std::size_t e);
+  /// Fills widths_ with the table of pass_ from bounds_.
+  void build_widths();
+  /// The smallest w with Z[w] <= z_loc, or kNoWidth.
+  std::uint8_t width_for(double z_loc) const;
+  /// Row of widths_ for global draws `z`.
+  const std::uint8_t* width_row(
+      const std::array<double, ssta::kParams>& z) const {
+    return widths_.data() + bucket_of(z) * bounds_.size();
+  }
   /// Draws arc e of sample k exactly into `v`.
   void draw_into(std::uint64_t k, const std::array<double, ssta::kParams>& z,
                  std::size_t e, ChipVerdict& v) const;
@@ -157,6 +228,7 @@ class ArcScreen {
   const Sampler* sampler_;
   double clock_period_ps_;
   double step_ps_;
+  Pass pass_;
   std::vector<ArcBound> bounds_;
   std::vector<ArcReach> reach_;
   std::vector<int> setup_risk_, hold_risk_;
@@ -165,6 +237,9 @@ class ArcScreen {
   double rounding_band_ = 0.0;
   /// Z[w] above, with a small safety factor for libm rounding.
   std::array<double, 54> local_bound_{};
+  std::array<double, kBuckets> bucket_radius_{};
+  /// W[b][e] of pass_'s table, bucket-major; empty for Pass::none.
+  std::vector<std::uint8_t> widths_;
 };
 
 /// One sample's constants for the per-sample solver: an epoch-stamped

@@ -18,7 +18,7 @@ ChipVerdicts::ChipVerdicts(const Sampler& sampler, std::uint64_t samples,
     : sampler_(&sampler), verdicts_(static_cast<std::size_t>(samples)) {
   // The pass reads no clock period or step, so a screen at T = 0 serves,
   // and its rounding allowances carry no period term.
-  const ArcScreen screen(sampler, 0.0, 1.0);
+  const ArcScreen screen(sampler, 0.0, 1.0, ArcScreen::Pass::verdict);
   util::parallel_chunks(
       verdicts_.size(), workers_for(threads),
       [&](std::size_t, std::size_t begin, std::size_t end) {

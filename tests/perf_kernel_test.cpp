@@ -156,15 +156,6 @@ TEST(ArcConstantsTest, SolverArcConstantsUseSharedQuantizer) {
 
 // ------------------------ arc screen and memo ------------------------------
 
-/// Arcs with a negative constant in `dense`, ascending.
-std::vector<int> dense_violated(const mc::ArcConstants& dense) {
-  std::vector<int> out;
-  for (std::size_t e = 0; e < dense.setup_steps.size(); ++e)
-    if (dense.setup_steps[e] < 0 || dense.hold_steps[e] < 0)
-      out.push_back(static_cast<int>(e));
-  return out;
-}
-
 /// Appends edge-case arcs to a synthetic graph: a self-loop, an arc without
 /// local variation, arcs whose early delay clamps to 0 and to the late
 /// delay, and one whose late delay clamps to 0.
@@ -209,12 +200,13 @@ TEST(ArcScreenTest, MatchesDenseKernel) {
       const double t = fx.t0 * t_factor;
       for (const double divisions : {5.0, 50.0, 500.0, 5000.0}) {
         const double step = t / divisions;
-        const mc::ArcScreen screen(sampler, t, step);
+        const mc::ArcScreen screen(sampler, t, step,
+                                   mc::ArcScreen::Pass::violated_arcs);
         for (std::uint64_t k = 0; k < 48; ++k) {
           sampler.evaluate(k, sample);
           mc::quantize_arc_constants(fx.graph, sample, t, step, dense);
           screen.violated_arcs(k, screened);
-          ASSERT_EQ(screened, dense_violated(dense))
+          ASSERT_EQ(screened, reference::dense_violated(dense))
               << "T=" << t_factor << "x step=T/" << divisions << " k=" << k;
           violated_total += screened.size();
           // Some edge-case arcs fail every chip; judge the synthetic ones.
@@ -262,7 +254,8 @@ TEST(ArcScreenTest, ScreenedSolveMatchesDenseSolve) {
     targets[static_cast<std::size_t>(f)] = 0.5 * ((f % 9) - 4);
 
   const mc::Sampler sampler(fx.graph, 2024);
-  const mc::ArcScreen screen(sampler, t, step);
+  const mc::ArcScreen screen(sampler, t, step,
+                             mc::ArcScreen::Pass::violated_arcs);
   core::SolveWorkspace ws;
   std::vector<int> violated;
   mc::ArcSample sample;
@@ -384,7 +377,7 @@ TEST(ZeroAllocTest, YieldCheckSteadyStateDoesNotAllocate) {
 TEST(ZeroAllocTest, ChipVerdictPassDoesNotAllocate) {
   const KernelFixture fx;
   const mc::Sampler sampler(fx.graph, 321);
-  const mc::ArcScreen screen(sampler, 0.0, 1.0);
+  const mc::ArcScreen screen(sampler, 0.0, 1.0, mc::ArcScreen::Pass::verdict);
 
   double period_sum = 0.0;
   util::AllocCounterScope scope;
@@ -435,7 +428,8 @@ TEST(ZeroAllocTest, SolverPassingSamplesSteadyStateDoesNotAllocate) {
       fx.graph, step, t,
       core::CandidateWindows::floating(fx.graph.num_ffs, 20));
   const mc::Sampler sampler(fx.graph, 777);
-  const mc::ArcScreen screen(sampler, t, step);
+  const mc::ArcScreen screen(sampler, t, step,
+                             mc::ArcScreen::Pass::violated_arcs);
 
   core::SolveWorkspace ws;
   std::vector<int> violated;

@@ -20,6 +20,16 @@
 
 namespace clktune::reference {
 
+/// Arcs with a negative quantized constant in `dense`, ascending: what
+/// ArcScreen::violated_arcs returns.
+inline std::vector<int> dense_violated(const mc::ArcConstants& dense) {
+  std::vector<int> out;
+  for (std::size_t e = 0; e < dense.setup_steps.size(); ++e)
+    if (dense.setup_steps[e] < 0 || dense.hold_steps[e] < 0)
+      out.push_back(static_cast<int>(e));
+  return out;
+}
+
 /// A chip's minimum period, max(0, max_e dmax + s_j + q_i - q_j), summed in
 /// the period MC's term order.
 inline double dense_period(const ssta::SeqGraph& graph,

@@ -10,9 +10,15 @@
 //   * the passing counts of Yo, our plan, top-K and allbuf, at one and at
 //     four threads, and the top-K incidence vectors;
 //   * at periods on and around chips' own P_k, where the period MC's and
-//     arc_slack's term orders round apart, Yo and a tuned yield.
+//     arc_slack's term orders round apart, Yo and a tuned yield;
+//   * the step-1 violated lists and the verdicts on the insertion chips
+//     and on chips from every width-table bucket up to radius 6, and the
+//     width tables themselves against the bound at each bucket's worst
+//     global draw.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -24,6 +30,8 @@
 #include "core/engine.h"
 #include "core/insertion_config.h"
 #include "feas/yield_eval.h"
+#include "mc/arc_constants.h"
+#include "mc/arc_screen.h"
 #include "mc/period_mc.h"
 #include "mc/sampler.h"
 #include "netlist/generator.h"
@@ -40,6 +48,13 @@ constexpr std::uint64_t kInsertChips = 200;
 constexpr std::uint64_t kPeriodSeed = 20160314;
 constexpr std::uint64_t kEvalSeed = 0xE7A1;
 constexpr std::uint64_t kInsertSeed = 7;
+/// Chips scanned past the insertion chips for the outer width-table
+/// buckets, and how many of each bucket the tests keep.
+constexpr std::uint64_t kScanChips = 40000;
+constexpr int kChipsPerBucket = 3;
+/// The outermost bucket radius the scan fills; beyond it chips are about
+/// one in 10^7, and the tables are checked directly.
+constexpr double kScanRadius = 6.0;
 
 /// One paper circuit with its period distribution and, per Table I
 /// setting, the plans under test.
@@ -203,6 +218,280 @@ TEST_P(PaperCircuitTest, PeriodsAtChipBoundariesMatchDense) {
     }
   }
   EXPECT_EQ(boundaries, 4);
+}
+
+double norm(const std::array<double, ssta::kParams>& z) {
+  double sum = 0.0;
+  for (const double x : z) sum += x * x;
+  return std::sqrt(sum);
+}
+
+/// The insertion chips, then kChipsPerBucket chips of each bucket whose
+/// radius is at most kScanRadius, by their own ||z||_2.
+std::vector<std::uint64_t> chips_of_every_bucket(const mc::ArcScreen& screen) {
+  std::vector<std::uint64_t> chips;
+  for (std::uint64_t k = 0; k < kInsertChips; ++k) chips.push_back(k);
+  std::array<int, mc::ArcScreen::kBuckets> found{};
+  for (std::uint64_t k = kInsertChips; k < kScanChips; ++k) {
+    const auto z = screen.sampler().globals(k);
+    const double r = norm(z);
+    std::size_t b = 0;
+    while (b + 1 < mc::ArcScreen::kBuckets && screen.bucket_radius(b) < r) ++b;
+    if (screen.bucket_radius(b) > kScanRadius || found[b] == kChipsPerBucket)
+      continue;
+    ++found[b];
+    chips.push_back(k);
+  }
+  for (std::size_t b = 0; screen.bucket_radius(b) <= kScanRadius; ++b)
+    EXPECT_EQ(found[b], kChipsPerBucket) << "bucket " << b;
+  return chips;
+}
+
+TEST_P(PaperCircuitTest, ScreenedPassesMatchDenseInEveryBucket) {
+  const Circuit& c = circuit(GetParam());
+  const mc::Sampler sampler(c.graph, kInsertSeed);
+  const mc::ArcScreen verdicts(sampler, 0.0, 1.0,
+                               mc::ArcScreen::Pass::verdict);
+  const std::vector<std::uint64_t> chips = chips_of_every_bucket(verdicts);
+  std::vector<mc::ArcScreen> step1;
+  for (const Circuit::Setting& s : c.settings)
+    step1.emplace_back(sampler, s.period_ps, s.ours.step_ps,
+                       mc::ArcScreen::Pass::violated_arcs);
+
+  mc::ArcSample sample;
+  mc::ArcConstants dense;
+  std::vector<int> violated;
+  std::uint64_t violated_total = 0;
+  for (const std::uint64_t k : chips) {
+    sampler.evaluate(k, sample);
+    // The chip's bucket is the first whose radius reaches ||z||_2.
+    const auto z = sampler.globals(k);
+    const std::size_t b = verdicts.bucket_of(z);
+    EXPECT_LE(norm(z), verdicts.bucket_radius(b)) << "chip " << k;
+    if (b > 0) {
+      EXPECT_GT(norm(z), verdicts.bucket_radius(b - 1)) << "chip " << k;
+    }
+
+    for (const mc::ArcScreen& screen : step1) {
+      mc::quantize_arc_constants(c.graph, sample, screen.clock_period_ps(),
+                                 screen.step_ps(), dense);
+      screen.violated_arcs(k, violated);
+      EXPECT_EQ(violated, reference::dense_violated(dense))
+          << "chip " << k << " T=" << screen.clock_period_ps();
+      violated_total += violated.size();
+    }
+    const mc::ChipVerdict v = verdicts.verdict(k);
+    EXPECT_TRUE(same_bits(v.period, reference::dense_period(c.graph, sample)))
+        << "chip " << k;
+    EXPECT_EQ(v.hold_fail, reference::dense_hold_fail(c.graph, sample))
+        << "chip " << k;
+    EXPECT_EQ(v.period_hold_fail,
+              reference::dense_period_hold_fail(c.graph, sample))
+        << "chip " << k;
+  }
+  EXPECT_GT(violated_total, 0u);
+}
+
+/// `r` times the unit vector along `a`; 0 when a = 0.
+std::array<double, ssta::kParams> along(
+    const std::array<double, ssta::kParams>& a, double r) {
+  const double n = norm(a);
+  std::array<double, ssta::kParams> z{};
+  if (n == 0.0) return z;
+  for (std::size_t p = 0; p < z.size(); ++p) z[p] = a[p] / n * r;
+  return z;
+}
+
+/// Appends a self-loop on flip-flop 0 without local variation: its skews
+/// cancel, so its slacks are set by the delays alone.  Returns its index.
+std::size_t add_self_loop(ssta::SeqGraph& g, double late_mu,
+                          const std::array<double, ssta::kParams>& late_a,
+                          double early_mu,
+                          const std::array<double, ssta::kParams>& early_a) {
+  g.arcs.push_back(ssta::SeqArc{0, 0, ssta::Canon{late_mu, late_a, 0.0},
+                                ssta::Canon{early_mu, early_a, 0.0}});
+  g.arcs_of_ff[0].push_back(static_cast<int>(g.arcs.size()) - 1);
+  return g.arcs.size() - 1;
+}
+
+/// The least slack, over the ball of bucket b, of arc e's hold half and,
+/// `with_setup`, its setup half, with |z_loc| <= Z[w]: the bound at its
+/// worst global draws, one per delay on the bucket's sphere.
+double least_slack(const mc::ArcScreen& screen, bool with_setup,
+                   std::size_t e, std::size_t b, int w) {
+  const ssta::SeqArc& arc = screen.sampler().graph().arcs[e];
+  const double r = screen.bucket_radius(b);
+  const double z_loc = screen.local_bound(w);
+  double setup = 0.0, hold = 0.0;
+  screen.bound_slacks(e, along(arc.dmax.a, r), z_loc, setup, hold);
+  double least = with_setup ? setup : std::numeric_limits<double>::infinity();
+  screen.bound_slacks(e, along(arc.dmax.a, -r), z_loc, setup, hold);
+  least = std::min(least, hold);
+  screen.bound_slacks(e, along(arc.dmin.a, -r), z_loc, setup, hold);
+  return std::min(least, hold);
+}
+
+// Chips past radius 6 are too rare to sample, so the tables are checked
+// directly: at its width W every entry must clear its arc under the bound
+// at the bucket's worst global draws, and at W - 1 the worst draw must come
+// within the 2 delta margin, so no narrower width would do.  Appended arcs
+// whose least slack over one bucket lies inside the margin, for setup at
+// the first setting's period and for hold, must not clear at any width.
+TEST_P(PaperCircuitTest, WidthTablesClearOnlyWhatTheBoundClears) {
+  const Circuit& c = circuit(GetParam());
+  const double t = c.settings.front().period_ps;
+  const double step = c.settings.front().ours.step_ps;
+  constexpr double kSens = 2.0;
+  ssta::SeqGraph g = c.graph;
+  std::vector<std::size_t> margin_arcs;  // bucket b's pair at 2b, 2b + 1
+  {
+    const mc::Sampler sampler(c.graph, kInsertSeed);
+    const mc::ArcScreen probe(sampler, t, step);
+    for (std::size_t b = 0; b < mc::ArcScreen::kBuckets; ++b) {
+      const double r = probe.bucket_radius(b);
+      std::array<double, ssta::kParams> u{};
+      u[b % u.size()] = kSens;
+      // Setup: least slack 0 at radius r; hold clears by a picosecond.
+      margin_arcs.push_back(add_self_loop(g, t - g.setup_ps[0] - kSens * r,
+                                          u, g.hold_ps[0] + 1.0, {}));
+      // Hold: least slack 0 at radius r; setup clears.
+      const double early = g.hold_ps[0] + kSens * r;
+      margin_arcs.push_back(
+          add_self_loop(g, early + kSens * r + 1.0, {}, early, u));
+    }
+  }
+  // Move each appended arc's least slack to half its margin.
+  {
+    const mc::Sampler sampler(g, kInsertSeed);
+    const mc::ArcScreen setup_probe(sampler, t, step);
+    const mc::ArcScreen hold_probe(sampler, 0.0, 1.0);
+    for (std::size_t i = 0; i < margin_arcs.size(); ++i) {
+      const std::size_t e = margin_arcs[i];
+      const bool setup = i % 2 == 0;
+      const mc::ArcScreen& probe = setup ? setup_probe : hold_probe;
+      const double shift = least_slack(probe, setup, e, i / 2, 0) -
+                           0.5 * probe.clear_margin(e);
+      if (setup)
+        g.arcs[e].dmax.mu += shift;
+      else
+        g.arcs[e].dmin.mu -= shift;
+    }
+  }
+
+  const mc::Sampler sampler(g, kInsertSeed);
+  std::vector<mc::ArcScreen> screens;
+  for (const Circuit::Setting& s : c.settings)
+    screens.emplace_back(sampler, s.period_ps, s.ours.step_ps,
+                         mc::ArcScreen::Pass::violated_arcs);
+  // The verdict pass's screen runs at T = 0 and reads its hold-only table.
+  screens.emplace_back(sampler, 0.0, 1.0, mc::ArcScreen::Pass::verdict);
+  for (std::size_t i = 0; i < margin_arcs.size(); ++i) {
+    const bool setup = i % 2 == 0;
+    const mc::ArcScreen& screen = setup ? screens.front() : screens.back();
+    const std::size_t e = margin_arcs[i];
+    const double least = least_slack(screen, setup, e, i / 2, 0);
+    EXPECT_GE(least, 0.0) << "appended arc " << i;
+    EXPECT_LT(least, screen.clear_margin(e)) << "appended arc " << i;
+    EXPECT_EQ(screen.width_threshold(i / 2, e), mc::ArcScreen::kNoWidth)
+        << "appended arc " << i;
+  }
+
+  std::uint64_t entries = 0, cleared = 0, unsound = 0, loose = 0;
+  std::string first_unsound;
+  for (const mc::ArcScreen& screen : screens) {
+    const bool with_setup = &screen != &screens.back();
+    for (std::size_t e = 0; e < g.arcs.size(); ++e) {
+      const double delta = screen.clear_margin(e);
+      for (std::size_t b = 0; b < mc::ArcScreen::kBuckets; ++b) {
+        const int width = screen.width_threshold(b, e);
+        ++entries;
+        if (width < mc::ArcScreen::kNoWidth) {
+          ++cleared;
+          if (!(least_slack(screen, with_setup, e, b, width) >= delta) &&
+              unsound++ == 0) {
+            first_unsound = "arc ";
+            first_unsound += std::to_string(e);
+            first_unsound += " bucket ";
+            first_unsound += std::to_string(b);
+          }
+        }
+        if (width > 0 &&
+            !(least_slack(screen, with_setup, e, b, std::min(width, 54) - 1) <
+              2.0 * delta))
+          ++loose;
+      }
+    }
+  }
+  EXPECT_EQ(unsound, 0u) << "first: " << first_unsound;
+  EXPECT_EQ(loose, 0u) << "of " << entries;
+  // Most entries clear at some width.
+  EXPECT_GT(cleared, entries / 2);
+}
+
+// Each pass must read the table of the chip's own bucket.  For one chip of
+// each bucket up to radius 6, two appended arcs point their global
+// sensitivity along the chip's draw, with slack zero halfway between the
+// chip's radius and the next bucket radius inside it: the chip violates
+// the first's setup and the second's hold, though the next smaller
+// bucket's table clears both.
+TEST_P(PaperCircuitTest, PassesReadEachChipsOwnBucket) {
+  const Circuit& c = circuit(GetParam());
+  const Circuit::Setting& s = c.settings.front();
+  constexpr double kSens = 2.0;
+  ssta::SeqGraph g = c.graph;
+  const mc::Sampler probe_sampler(c.graph, kInsertSeed);
+  const mc::ArcScreen probe(probe_sampler, s.period_ps, s.ours.step_ps);
+  struct Probe {
+    std::uint64_t chip;
+    std::size_t setup_arc, hold_arc;
+  };
+  std::vector<Probe> probes;
+  for (std::size_t b = 1; probe.bucket_radius(b) <= kScanRadius; ++b) {
+    const double inner = probe.bucket_radius(b - 1);
+    std::uint64_t k = 0;
+    for (; k < kScanChips; ++k) {
+      const double r = norm(probe_sampler.globals(k));
+      if (r > inner + 0.01 && r <= probe.bucket_radius(b)) break;
+    }
+    ASSERT_LT(k, kScanChips) << "bucket " << b;
+    const auto z = probe_sampler.globals(k);
+    const double r = norm(z);
+    const auto u = along(z, kSens);
+    const double mid = kSens * (inner + r) / 2.0;
+    Probe p{k, 0, 0};
+    p.setup_arc = add_self_loop(g, s.period_ps - g.setup_ps[0] - mid, u,
+                                g.hold_ps[0] + 1.0, {});
+    p.hold_arc = add_self_loop(
+        g, g.hold_ps[0] + mid + kSens * probe.bucket_radius(b) + 1.0, {},
+        g.hold_ps[0] + mid, along(z, -kSens));
+    probes.push_back(p);
+  }
+  ASSERT_EQ(probes.size(), 6u);
+
+  const mc::Sampler sampler(g, kInsertSeed);
+  const mc::ArcScreen step1(sampler, s.period_ps, s.ours.step_ps,
+                            mc::ArcScreen::Pass::violated_arcs);
+  const mc::ArcScreen verdicts(sampler, 0.0, 1.0,
+                               mc::ArcScreen::Pass::verdict);
+  mc::ArcSample sample;
+  mc::ArcConstants dense;
+  std::vector<int> violated;
+  for (const Probe& p : probes) {
+    sampler.evaluate(p.chip, sample);
+    mc::quantize_arc_constants(g, sample, s.period_ps, s.ours.step_ps, dense);
+    step1.violated_arcs(p.chip, violated);
+    EXPECT_EQ(violated, reference::dense_violated(dense)) << p.chip;
+    EXPECT_TRUE(std::binary_search(violated.begin(), violated.end(),
+                                   static_cast<int>(p.setup_arc)))
+        << "chip " << p.chip;
+    const mc::ChipVerdict v = verdicts.verdict(p.chip);
+    EXPECT_TRUE(same_bits(v.period, reference::dense_period(g, sample)))
+        << "chip " << p.chip;
+    EXPECT_EQ(v.hold_fail, reference::dense_hold_fail(g, sample)) << p.chip;
+    EXPECT_EQ(v.period_hold_fail, reference::dense_period_hold_fail(g, sample))
+        << "chip " << p.chip;
+    EXPECT_TRUE(v.hold_fail) << "chip " << p.chip;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
