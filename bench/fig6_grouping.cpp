@@ -61,11 +61,12 @@ int run() {
   }
 
   std::printf("\ngroups (physical buffers):\n");
+  const std::vector<feas::BufferWindow> windows = res.plan.group_windows();
   for (int g = 0; g < res.plan.num_groups; ++g) {
     std::printf("  group %d:", g);
     for (std::size_t i = 0; i < nb; ++i)
       if (res.plan.group_of[i] == g) std::printf(" ff%d", res.buffers[i].ff);
-    const feas::BufferWindow w = res.plan.group_window(g);
+    const feas::BufferWindow& w = windows[static_cast<std::size_t>(g)];
     std::printf("  window [%d, %d]\n", w.k_lo, w.k_hi);
   }
   std::printf("%zu buffers -> %d physical buffers after grouping\n", nb,

@@ -44,8 +44,9 @@ struct TuningPlan {
     num_groups = static_cast<int>(buffers.size());
   }
 
-  /// Window of physical group g: union of member windows.
-  BufferWindow group_window(int g) const;
+  /// Window of every physical group, by group id: the union of its member
+  /// windows.  One pass over the buffers; every group must have one.
+  std::vector<BufferWindow> group_windows() const;
 };
 
 }  // namespace clktune::feas

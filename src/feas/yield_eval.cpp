@@ -62,14 +62,11 @@ YieldEvaluator::YieldEvaluator(const ssta::SeqGraph& graph, TuningPlan plan,
     CLKTUNE_EXPECTS(ff >= 0 && ff < graph.num_ffs);
     var_of_ff_[static_cast<std::size_t>(ff)] = plan_.group_of[i];
   }
-  group_windows_.clear();
-  for (int g = 0; g < plan_.num_groups; ++g) {
-    group_windows_.push_back(plan_.group_window(g));
-    // evaluate() passes every chip that passes untuned, which holds under
-    // the plan only when x = 0 is a configuration.
-    CLKTUNE_EXPECTS(group_windows_.back().k_lo <= 0 &&
-                    group_windows_.back().k_hi >= 0);
-  }
+  group_windows_ = plan_.group_windows();
+  // evaluate() passes every chip that passes untuned, which holds under the
+  // plan only when x = 0 is a configuration.
+  for (const BufferWindow& w : group_windows_)
+    CLKTUNE_EXPECTS(w.k_lo <= 0 && w.k_hi >= 0);
 
   // Static topology: the reference node is plan_.num_groups.
   const int ref = plan_.num_groups;

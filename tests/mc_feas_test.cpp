@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <vector>
@@ -383,13 +384,46 @@ TEST(TuningPlanTest, GroupWindowsAndAverageRange) {
                   BufferWindow{2, -5, 1}};
   plan.group_of = {0, 0, 1};
   plan.num_groups = 2;
-  const BufferWindow g0 = plan.group_window(0);
-  EXPECT_EQ(g0.k_lo, -2);
-  EXPECT_EQ(g0.k_hi, 6);
-  const BufferWindow g1 = plan.group_window(1);
-  EXPECT_EQ(g1.range(), 6);
+  const std::vector<BufferWindow> windows = plan.group_windows();
+  ASSERT_EQ(windows.size(), 2u);
+  EXPECT_EQ(windows[0].ff, 0);
+  EXPECT_EQ(windows[0].k_lo, -2);
+  EXPECT_EQ(windows[0].k_hi, 6);
+  EXPECT_EQ(windows[1].range(), 6);
   EXPECT_DOUBLE_EQ(plan.average_range(), (8.0 + 6.0) / 2.0);
   EXPECT_EQ(plan.physical_buffers(), 2);
+
+  // A random grouping of a few thousand buffers against a scan of every
+  // group's members.
+  util::SplitMix64 rng(2718);
+  TuningPlan big;
+  big.num_groups = 700;
+  for (int i = 0; i < 3000; ++i) {
+    const int lo = -static_cast<int>(rng.next_below(12));
+    big.buffers.push_back(
+        BufferWindow{i, lo, lo + static_cast<int>(rng.next_below(25))});
+    // The first 700 buffers give every group a member.
+    big.group_of.push_back(
+        i < big.num_groups ? i : static_cast<int>(rng.next_below(700)));
+  }
+  const std::vector<BufferWindow> big_windows = big.group_windows();
+  ASSERT_EQ(big_windows.size(), 700u);
+  double range_sum = 0.0;
+  for (int g = 0; g < big.num_groups; ++g) {
+    BufferWindow scan{-1, 1000, -1000};
+    for (std::size_t i = 0; i < big.buffers.size(); ++i) {
+      if (big.group_of[i] != g) continue;
+      if (scan.ff < 0) scan.ff = big.buffers[i].ff;
+      scan.k_lo = std::min(scan.k_lo, big.buffers[i].k_lo);
+      scan.k_hi = std::max(scan.k_hi, big.buffers[i].k_hi);
+    }
+    const BufferWindow& w = big_windows[static_cast<std::size_t>(g)];
+    EXPECT_EQ(w.ff, scan.ff) << g;
+    EXPECT_EQ(w.k_lo, scan.k_lo) << g;
+    EXPECT_EQ(w.k_hi, scan.k_hi) << g;
+    range_sum += scan.range();
+  }
+  EXPECT_DOUBLE_EQ(big.average_range(), range_sum / big.num_groups);
 }
 
 TEST(YieldEvaluatorTest, EvaluationIsThreadCountInvariant) {
