@@ -1,6 +1,9 @@
 #include "core/report_json.h"
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 namespace clktune::core {
 
@@ -221,6 +224,9 @@ feas::TuningPlan tuning_plan_from_json(const util::Json& result_json) {
       result_json.at("plan").at("group_of").as_array();
   if (groups.size() != buffers.size())
     throw util::JsonError("result: group_of and buffers length mismatch");
+  // Group ids must be 0..num_groups-1 with a buffer in every group, so any
+  // id at or past the buffer count leaves some group empty.
+  std::vector<char> group_used(buffers.size(), 0);
   int max_group = -1;
   for (std::size_t i = 0; i < buffers.size(); ++i) {
     const util::Json& b = buffers[i];
@@ -239,12 +245,18 @@ feas::TuningPlan tuning_plan_from_json(const util::Json& result_json) {
     if (w.k_lo > 0 || w.k_hi < 0)
       throw util::JsonError("result: buffer window must contain 0");
     plan.buffers.push_back(w);
-    const int g = static_cast<int>(groups[i].as_int());
-    if (g < 0) throw util::JsonError("result: negative group id");
+    const std::int64_t id = groups[i].as_int();
+    if (id < 0) throw util::JsonError("result: negative group id");
+    if (id >= static_cast<std::int64_t>(buffers.size()))
+      throw util::JsonError("result: group id leaves a group without buffers");
+    const int g = static_cast<int>(id);
+    group_used[static_cast<std::size_t>(g)] = 1;
     plan.group_of.push_back(g);
     if (g > max_group) max_group = g;
   }
   plan.num_groups = max_group + 1;
+  if (std::count(group_used.begin(), group_used.end(), 1) != plan.num_groups)
+    throw util::JsonError("result: group id leaves a group without buffers");
   return plan;
 }
 

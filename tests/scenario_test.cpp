@@ -368,6 +368,32 @@ TEST(ReportJsonTest, TuningPlanRoundTripsThroughResultJson) {
                    result.insertion.plan.average_range());
 }
 
+// A group id that leaves some group without a buffer used to reach
+// group_windows()'s postcondition, which aborts, when the plan was
+// re-serialized (report --merge, cache hits, cache verify).
+TEST(ReportJsonTest, TuningPlanWithAnEmptyGroupIsRejected) {
+  const auto spec = scenario::ScenarioSpec::from_json(tiny_scenario_doc());
+  const scenario::ScenarioResult result = scenario::run_scenario(spec, 1);
+  const std::size_t n = result.insertion.plan.buffers.size();
+  ASSERT_GE(n, 2u);
+  const Json artifact = result.to_json();
+  const auto with_group_of = [&](const std::vector<double>& ids) {
+    Json insertion = artifact.at("insertion");
+    util::JsonArray& groups =
+        insertion.find("plan")->find("group_of")->as_array();
+    for (std::size_t i = 0; i < n; ++i) groups[i] = Json(ids[i]);
+    return insertion;
+  };
+  std::vector<double> ids(n, 0.0);
+  EXPECT_EQ(core::tuning_plan_from_json(with_group_of(ids)).num_groups, 1);
+  ids.back() = 2.0;  // group 1 is empty
+  EXPECT_THROW(core::tuning_plan_from_json(with_group_of(ids)), JsonError);
+  ids.back() = static_cast<double>(n);  // more groups than buffers
+  EXPECT_THROW(core::tuning_plan_from_json(with_group_of(ids)), JsonError);
+  ids.back() = 1e12;  // past int
+  EXPECT_THROW(core::tuning_plan_from_json(with_group_of(ids)), JsonError);
+}
+
 TEST(ReportJsonTest, TimingFieldsOnlyWithOptIn) {
   const auto spec = scenario::ScenarioSpec::from_json(tiny_scenario_doc());
   const scenario::ScenarioResult result = scenario::run_scenario(spec, 1);
