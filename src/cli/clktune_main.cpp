@@ -4,7 +4,7 @@
 //   clktune sweep <campaign.json>      expand + run a parameter sweep
 //   clktune report <result.json>       render a saved artifact as a table
 //   clktune report --diff <a> <b>      compare two artifacts cell by cell
-//   clktune report --merge <s...>      merge shard summaries into one
+//   clktune report --merge <s...>      merge partial summaries into one
 //   clktune serve                      long-running scenario service (TCP)
 //   clktune submit <doc.json>          send a document to a running server
 //   clktune fanout <doc.json>          fan a campaign out over a daemon
@@ -31,8 +31,9 @@
 //   -t, --threads <n>     worker threads (default: hardware concurrency)
 //       --cache-dir <dir> content-addressed result cache (run/sweep/serve);
 //                         repeated invocations skip already-solved cells
-//       --shard <i/n>     sweep/submit: only expansion indices with
-//                         idx % n == i (submit: sliced daemon-side)
+//       --shard <i/n>     sweep/submit: sugar for the index list i, i+n,
+//                         i+2n, ... (submit: sent as the daemon's
+//                         "indices" selection)
 //       --progress        run/sweep/submit: per-cell NDJSON progress
 //                         lines on stderr (replaces the human lines)
 //       --tolerance <y>   --diff: allowed tuned-yield drop (default 0.005)
@@ -123,7 +124,7 @@ struct Options {
   std::string fleet_file;  ///< fanout: JSON fleet file
   int port = -1;  ///< -1 = command default
   int threads = 0;
-  std::size_t shard_index = 0;
+  std::size_t shard_index = 0;  ///< --shard i/n; n == 1 runs every cell
   std::size_t shard_count = 1;
   std::size_t retries = 3;
   std::size_t unit_cells = 1;
@@ -171,7 +172,7 @@ void print_usage(std::FILE* to) {
       "  sweep <campaign.json>   expand and execute a parameter sweep\n"
       "  report <result.json>    print a saved result artifact as a table\n"
       "  report --diff <a> <b>   compare two artifacts, flag regressions\n"
-      "  report --merge <s...>   merge disjoint shard summaries into one\n"
+      "  report --merge <s...>   merge disjoint partial summaries into one\n"
       "  serve                   run the scenario service (TCP, NDJSON)\n"
       "  submit <doc.json>       send a scenario/campaign to a server\n"
       "  fanout <doc.json>       work-stealing dispatch over a daemon pool\n"
@@ -191,7 +192,7 @@ void print_usage(std::FILE* to) {
       "  -o, --output <path>     write the JSON artifact to <path>\n"
       "  -t, --threads <n>       worker threads (0 = hardware concurrency)\n"
       "      --cache-dir <dir>   enable the content-addressed result cache\n"
-      "      --shard <i/n>       run expansion indices idx %% n == i only\n"
+      "      --shard <i/n>       sweep/submit: run indices i, i+n, i+2n, ...\n"
       "      --progress          per-cell NDJSON progress lines on stderr\n"
       "      --tolerance <y>     allowed tuned-yield drop for --diff\n"
       "      --host <h>          server host for submit/job\n"
@@ -262,6 +263,20 @@ bool parse_shard(const std::string& text, Options& opt) {
   opt.shard_index = i;
   opt.shard_count = n;
   return true;
+}
+
+/// `--shard i/n` is sugar for the index list i, i+n, i+2n, ... below the
+/// campaign's expansion size; a scenario document has nothing to split.
+void apply_shard(const Options& opt, clktune::exec::Request& request) {
+  if (opt.shard_count == 1) return;
+  if (request.kind != clktune::exec::Request::Kind::campaign)
+    throw clktune::exec::ExecError("--shard splits a campaign document,"
+                                   " not a scenario");
+  std::vector<std::size_t> indices;
+  for (std::size_t i = opt.shard_index; i < request.expansion_size();
+       i += opt.shard_count)
+    indices.push_back(i);
+  request.indices = std::move(indices);
 }
 
 int parse_options(int argc, char** argv, Options& opt) {
@@ -617,20 +632,19 @@ int cmd_sweep(const Options& opt) {
   clktune::exec::Request request = clktune::exec::Request::for_campaign(
       clktune::scenario::CampaignSpec::from_json(doc));
   request.threads = opt.threads;
-  request.shard_index = opt.shard_index;
-  request.shard_count = opt.shard_count;
+  apply_shard(opt, request);
   const std::unique_ptr<clktune::cache::ResultCache> cache = make_cache(opt);
   request.cache = cache.get();
 
   // With --progress stderr is a pure NDJSON stream; the human header and
   // trailer lines would pollute it.
   if (!opt.quiet && !opt.progress) {
-    if (opt.shard_count > 1)
+    if (request.indices)
       std::fprintf(stderr,
                    "clktune: campaign %s, shard %zu/%zu: %zu of %zu"
                    " scenarios\n",
                    request.campaign.name.c_str(), opt.shard_index,
-                   opt.shard_count, request.shard_cells(),
+                   opt.shard_count, request.indices->size(),
                    request.expansion_size());
     else
       std::fprintf(stderr, "clktune: campaign %s, %zu scenarios\n",
@@ -672,8 +686,9 @@ std::uint16_t submit_port(const Options& opt) {
 /// `clktune job status|attach|cancel`.
 int cmd_submit_detached(const Options& opt, const Json& doc) {
   if (opt.shard_count > 1) {
-    // Jobs persist the *whole* selection; a daemon-side shard slice of an
-    // async job has no recovery story, so the combination is refused.
+    // `clktune job attach` rebuilds a summary from the job's status frame,
+    // which carries no index list, so a sliced job could not be merged
+    // back; the combination is refused.
     std::fprintf(stderr, "clktune: --detach does not combine with --shard\n");
     return 1;
   }
@@ -702,10 +717,9 @@ int cmd_submit(const Options& opt) {
   const Json doc = clktune::util::read_json_file(opt.inputs[0]);
   if (opt.detach) return cmd_submit_detached(opt, doc);
   clktune::exec::Request request = clktune::exec::Request::from_json(doc);
-  // The daemon honours the slice server-side, so N submit --shard i/N
+  // The daemon runs the index list server-side, so N submit --shard i/N
   // invocations against N daemons fan one campaign out across hosts.
-  request.shard_index = opt.shard_index;
-  request.shard_count = opt.shard_count;
+  apply_shard(opt, request);
   clktune::exec::RemoteExecutor executor(opt.host, submit_port(opt),
                                          submit_timeouts(opt));
   CliObserver observer(opt);
@@ -847,7 +861,7 @@ int cmd_job_attach(const Options& opt, const std::string& id) {
     summary.name = name;
     // Null slots appear only for jobs submitted with an explicit index
     // selection (the fleet's work units); the kept cells stay in
-    // expansion order, exactly like a shard summary.
+    // expansion order, like any partial summary.
     for (const Json& artifact : stream.results)
       if (artifact.is_object())
         summary.results.push_back(

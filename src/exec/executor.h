@@ -1,20 +1,19 @@
-// The execution abstraction: one interface, three backends.
+// The execution abstraction: one interface, several backends.
 //
 // Every entry point of the system — the `clktune` CLI, the serve daemon,
 // tests and library users — runs scenarios and campaigns by composing a
 // Request with an Executor:
 //
-//   LocalExecutor     in-process: engine + thread pool + ResultCache
-//   RemoteExecutor    a `clktune serve` daemon over the NDJSON protocol
-//   ShardedExecutor   a campaign split across N child executors by the
-//                     `--shard i/n` expansion slice, merged back in
-//                     expansion order
+//   LocalExecutor          in-process: engine + thread pool + ResultCache
+//   RemoteExecutor         a `clktune serve` daemon over the NDJSON protocol
+//   fleet::FleetExecutor   a campaign split into index-list work units over
+//                          a daemon pool, merged back in expansion order
 //
 // All backends produce byte-identical artifacts for the same request: the
-// Outcome is a pure function of the resolved document (plus the shard
-// slice), never of the backend that computed it.  That invariant is what
-// makes the composition safe — ShardedExecutor over RemoteExecutors is a
-// multi-daemon fan-out whose merged summary matches a single local run.
+// Outcome is a pure function of the resolved document (plus the index
+// selection), never of the backend that computed it.  That invariant is
+// what makes the composition safe — a fleet of RemoteExecutor-style units
+// merges to the summary a single local run writes.
 #pragma once
 
 #include <string>
@@ -35,7 +34,7 @@ class Executor {
   virtual Outcome execute(const Request& request,
                           Observer* observer = nullptr) = 0;
 
-  /// Diagnostic backend label ("local", "remote(host:port)", "sharded(n)").
+  /// Diagnostic backend label ("local", "remote(host:port)", "fleet(n)").
   virtual std::string name() const = 0;
 };
 

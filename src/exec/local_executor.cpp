@@ -106,25 +106,15 @@ Outcome execute_campaign(const Request& request, Observer* observer) {
     all = request.campaign.expand();
   }
 
-  // The expansion index is the unit of determinism, so any selection of it
-  // partitions a campaign across processes/hosts without coordination: an
-  // explicit index list (fleet work units) or a round-robin shard slice.
-  std::vector<std::size_t> selected;
-  if (!request.indices.empty()) {
-    selected = request.indices;
-  } else {
-    selected.reserve(all.size() / request.shard_count + 1);
-    for (std::size_t i = request.shard_index; i < all.size();
-         i += request.shard_count)
-      selected.push_back(i);
-  }
-
+  // The expansion index is the unit of determinism, so an index list
+  // partitions a campaign across processes/hosts without coordination
+  // (fleet work units, `--shard i/n`).
+  const std::vector<std::size_t> selected = request.selection();
   if (observer != nullptr) observer->on_begin(all.size(), selected.size());
 
   scenario::CampaignSummary summary;
   summary.name = request.campaign.name;
-  summary.shard_index = request.shard_index;
-  summary.shard_count = request.shard_count;
+  summary.set_selection(all.size(), selected);
   summary.results.resize(selected.size());
   std::vector<char> cached(selected.size(), 0);
 

@@ -1,7 +1,6 @@
 #include "exec/merge.h"
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "exec/request.h"
@@ -9,62 +8,51 @@
 namespace clktune::exec {
 
 scenario::CampaignSummary merge_shard_summaries(
-    const std::vector<scenario::CampaignSummary>& shards) {
-  if (shards.empty()) throw ExecError("merge: no summaries given");
-  const std::string& name = shards.front().name;
-  const std::size_t n = shards.front().shard_count;
-  for (const scenario::CampaignSummary& shard : shards) {
-    if (shard.name != name)
+    const std::vector<scenario::CampaignSummary>& parts) {
+  if (parts.empty()) throw ExecError("merge: no summaries given");
+  const auto expansion = [](const scenario::CampaignSummary& part) {
+    return part.selection ? part.selection->of : part.results.size();
+  };
+  const std::string& name = parts.front().name;
+  const std::size_t n = expansion(parts.front());
+  std::size_t cells = 0;
+  for (const scenario::CampaignSummary& part : parts) {
+    if (part.name != name)
       throw ExecError("merge: campaign names differ (\"" + name +
-                      "\" vs \"" + shard.name + "\")");
-    if (shard.shard_count != n)
-      throw ExecError("merge: shard counts differ (" + std::to_string(n) +
-                      " vs " + std::to_string(shard.shard_count) + ")");
+                      "\" vs \"" + part.name + "\")");
+    if (expansion(part) != n)
+      throw ExecError("merge: expansion sizes differ (" + std::to_string(n) +
+                      " vs " + std::to_string(expansion(part)) + ")");
+    if (part.selection && part.selection->indices.size() != part.results.size())
+      throw ExecError("merge: a summary selects " +
+                      std::to_string(part.selection->indices.size()) +
+                      " indices for " + std::to_string(part.results.size()) +
+                      " results");
+    cells += part.results.size();
   }
+  // N comes from the inputs' own bytes, so nothing is sized by it until
+  // the cells in hand account for it exactly.
+  if (cells != n)
+    throw ExecError("merge: the summaries hold " + std::to_string(cells) +
+                    " cells of a " + std::to_string(n) + "-cell campaign");
 
-  // Exactly the n disjoint slices, each seen once.
-  std::vector<const scenario::CampaignSummary*> by_index(n, nullptr);
-  for (const scenario::CampaignSummary& shard : shards) {
-    if (shard.shard_index >= n)
-      throw ExecError("merge: shard index " +
-                      std::to_string(shard.shard_index) + " out of range");
-    if (by_index[shard.shard_index] != nullptr)
-      throw ExecError("merge: overlapping summaries for shard " +
-                      std::to_string(shard.shard_index) + "/" +
-                      std::to_string(n));
-    by_index[shard.shard_index] = &shard;
-  }
-  for (std::size_t i = 0; i < n; ++i)
-    if (by_index[i] == nullptr)
-      throw ExecError("merge: missing shard " + std::to_string(i) + "/" +
-                      std::to_string(n));
-
-  // A round-robin slice of T cells gives shard i exactly
-  // T/n + (i < T%n) of them; anything else means the summaries do not come
-  // from one expansion.
-  std::size_t total = 0;
-  for (const scenario::CampaignSummary* shard : by_index)
-    total += shard->results.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t expected = shard_cell_count(total, i, n);
-    if (by_index[i]->results.size() != expected)
-      throw ExecError("merge: shard " + std::to_string(i) + " has " +
-                      std::to_string(by_index[i]->results.size()) +
-                      " cells, expected " + std::to_string(expected) +
-                      " of a " + std::to_string(total) + "-cell campaign");
-  }
-
+  // N cells, each index below N and none seen twice: exactly 0..N-1.
   scenario::CampaignSummary merged;
   merged.name = name;
-  merged.shard_index = 0;
-  merged.shard_count = 1;
-  merged.results.resize(total);
-  for (std::size_t i = 0; i < n; ++i) {
-    const scenario::CampaignSummary& shard = *by_index[i];
-    for (std::size_t k = 0; k < shard.results.size(); ++k)
-      merged.results[i + k * n] = shard.results[k];
-    merged.scenarios_cached += shard.scenarios_cached;
-    merged.total_seconds += shard.total_seconds;
+  merged.results.resize(n);
+  std::vector<char> seen(n, 0);
+  for (const scenario::CampaignSummary& part : parts) {
+    for (std::size_t k = 0; k < part.results.size(); ++k) {
+      const std::size_t index = part.selection ? part.selection->indices[k] : k;
+      if (index >= n || seen[index] != 0)
+        throw ExecError("merge: cell " + std::to_string(index) +
+                        (index >= n ? " is out of range"
+                                    : " is in more than one summary"));
+      seen[index] = 1;
+      merged.results[index] = part.results[k];
+    }
+    merged.scenarios_cached += part.scenarios_cached;
+    merged.total_seconds += part.total_seconds;
   }
   merged.recount();
   return merged;

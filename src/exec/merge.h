@@ -1,11 +1,12 @@
-// Merging disjoint shard summaries back into a full-campaign summary.
+// Merging disjoint partial summaries back into a full-campaign summary.
 //
-// `clktune sweep --shard i/n` runs the expansion indices with
-// idx % n == i and records the slice in its summary; this module is the
-// inverse: given all n shard summaries it interleaves their cells back
-// into expansion order and produces a summary byte-identical to the one an
-// unsharded sweep of the same campaign would have written.  Backs
-// `clktune report --merge` and ShardedExecutor.
+// A sweep with an index selection (`clktune sweep --shard i/n` is sugar
+// for the list i, i+n, ...) records that selection in its summary; this
+// module is the inverse: given partial summaries whose selections
+// partition one campaign's expansion, it places their cells back in
+// expansion order and produces a summary byte-identical to the one a
+// sweep of the whole campaign would have written.  Backs
+// `clktune report --merge`.
 #pragma once
 
 #include <vector>
@@ -14,14 +15,15 @@
 
 namespace clktune::exec {
 
-/// Merges the complete set of shard summaries of one campaign.  The inputs
-/// may arrive in any order; the output covers the whole expansion with
-/// shard_count 1 (so its JSON carries no "shard" member, like an unsharded
-/// sweep).  Throws ExecError when the inputs are not exactly the n
-/// disjoint shards of one campaign: mismatched names or shard counts,
-/// duplicate (overlapping) shard indices, missing shards, or cell counts
-/// inconsistent with a single expansion size.
+/// Merges summaries whose index sets partition one campaign's expansion
+/// 0..N-1 (a summary without a selection covers the whole of it).  The
+/// inputs may arrive in any order; the output covers the whole expansion
+/// and records no selection, like a sweep of the whole campaign.  Throws
+/// ExecError when the inputs are not exactly such a partition: mismatched
+/// names or expansion sizes, cell counts that do not sum to N (checked
+/// before anything is sized by N, which also catches a missing tail), or
+/// an index held by two inputs.
 scenario::CampaignSummary merge_shard_summaries(
-    const std::vector<scenario::CampaignSummary>& shards);
+    const std::vector<scenario::CampaignSummary>& parts);
 
 }  // namespace clktune::exec

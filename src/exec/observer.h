@@ -4,10 +4,10 @@
 // An Observer is handed to Executor::execute and receives the same event
 // sequence no matter which backend runs the request: one on_begin with the
 // request's expansion size, one on_cell per finished cell (tagged with the
-// cell's *global* expansion index, so sharded and remote execution report
-// the same indices a plain local run would), and a cancelled() poll between
-// cells.  Campaign cells finish on worker threads, so on_cell may be
-// invoked concurrently — implementations that share state must lock.
+// cell's *global* expansion index, so index-selected and remote execution
+// report the same indices a plain local run would), and a cancelled() poll
+// between cells.  Campaign cells finish on worker threads, so on_cell may
+// be invoked concurrently — implementations that share state must lock.
 //
 // Cancellation is cooperative: when cancelled() returns true, the backend
 // stops starting new cells, lets in-flight ones finish, and raises
@@ -37,7 +37,7 @@ class Observer {
 
   /// Once per execution, before any cell runs: how many cells the request
   /// expands to in total and how many this execution will produce (they
-  /// differ only for a shard slice).
+  /// differ only for an index selection).
   virtual void on_begin(std::size_t total_cells, std::size_t own_cells) {
     (void)total_cells;
     (void)own_cells;

@@ -29,21 +29,16 @@ Outcome RemoteExecutor::execute(const Request& request, Observer* observer) {
   wire.set("cmd",
            request.kind == Request::Kind::scenario ? "run" : "sweep");
   wire.set("doc", request.document());
-  if (request.shard_count > 1) {
-    Json shard = Json::object();
-    shard.set("index", static_cast<std::uint64_t>(request.shard_index));
-    shard.set("count", static_cast<std::uint64_t>(request.shard_count));
-    wire.set("shard", std::move(shard));
-  }
-  if (!request.indices.empty()) {
+  if (request.indices) {
     Json indices = Json::array();
-    for (const std::size_t index : request.indices)
+    for (const std::size_t index : *request.indices)
       indices.push_back(static_cast<std::uint64_t>(index));
     wire.set("indices", std::move(indices));
   }
 
+  const std::vector<std::size_t> selected = request.selection();
   if (observer != nullptr)
-    observer->on_begin(request.expansion_size(), request.shard_cells());
+    observer->on_begin(request.expansion_size(), selected.size());
 
   std::vector<RemoteCell> cells;
   serve::SubmitOutcome stream;
@@ -89,27 +84,20 @@ Outcome RemoteExecutor::execute(const Request& request, Observer* observer) {
               return a.index < b.index;
             });
 
-  // The daemon must have honoured the selection — shard slice or explicit
-  // index list: exactly the requested cells, none duplicated.  A daemon
-  // that ignored the "shard" / "indices" member would otherwise corrupt a
-  // downstream merge silently instead of failing here.
+  // The daemon must have honoured the selection: exactly the requested
+  // cells, none duplicated.  A daemon that ignored the "indices" member
+  // would otherwise corrupt a downstream merge silently instead of failing
+  // here.
   if (request.kind == Request::Kind::campaign) {
-    if (cells.size() != request.shard_cells())
+    if (cells.size() != selected.size())
       throw ExecError(name() + ": server sent " +
                       std::to_string(cells.size()) + " cells, expected " +
-                      std::to_string(request.shard_cells()));
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      const bool belongs =
-          request.indices.empty()
-              ? cells[i].index % request.shard_count == request.shard_index
-              : cells[i].index == request.indices[i];
-      if (!belongs || (i > 0 && cells[i].index == cells[i - 1].index))
+                      std::to_string(selected.size()));
+    for (std::size_t i = 0; i < cells.size(); ++i)
+      if (cells[i].index != selected[i])
         throw ExecError(name() + ": cell index " +
                         std::to_string(cells[i].index) +
-                        " does not belong to the requested " +
-                        (request.indices.empty() ? "shard slice"
-                                                 : "index list"));
-    }
+                        " does not belong to the requested selection");
   }
 
   if (request.kind == Request::Kind::scenario) {
@@ -128,8 +116,7 @@ Outcome RemoteExecutor::execute(const Request& request, Observer* observer) {
 
   scenario::CampaignSummary summary;
   summary.name = request.campaign.name;
-  summary.shard_index = request.shard_index;
-  summary.shard_count = request.shard_count;
+  summary.set_selection(request.expansion_size(), selected);
   summary.results.reserve(cells.size());
   for (RemoteCell& cell : cells) {
     summary.scenarios_cached += cell.cached ? 1 : 0;

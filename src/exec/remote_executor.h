@@ -1,12 +1,12 @@
 // Remote backend: a `clktune serve` daemon behind the Executor interface.
 //
 // The request's resolved document travels over the NDJSON serve protocol
-// (`{"cmd":"run"|"sweep","doc":{...}[,"shard":{...}]}`); streamed "result"
-// events become Observer cells, and the reassembled artifacts — which
-// round-trip byte-exactly — rebuild the same ScenarioResult /
-// CampaignSummary a LocalExecutor would have produced.  A shard slice is
-// forwarded to the daemon, so ShardedExecutor over several RemoteExecutors
-// fans one campaign out across daemons.
+// (`{"cmd":"run"|"sweep","doc":{...}[,"indices":[...]]}`); streamed
+// "result" events become Observer cells, and the reassembled artifacts —
+// which round-trip byte-exactly — rebuild the same ScenarioResult /
+// CampaignSummary a LocalExecutor would have produced.  An index selection
+// is forwarded to the daemon, so several RemoteExecutors given disjoint
+// lists split one campaign across daemons.
 #pragma once
 
 #include <cstdint>

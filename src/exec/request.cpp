@@ -1,5 +1,6 @@
 #include "exec/request.h"
 
+#include <numeric>
 #include <utility>
 
 namespace clktune::exec {
@@ -34,29 +35,25 @@ std::size_t Request::expansion_size() const {
   return kind == Kind::scenario ? 1 : campaign.expansion_size();
 }
 
-std::size_t Request::shard_cells() const {
-  if (!indices.empty()) return indices.size();
-  return shard_cell_count(expansion_size(), shard_index, shard_count);
+std::vector<std::size_t> Request::selection() const {
+  if (indices) return *indices;
+  std::vector<std::size_t> all(expansion_size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  return all;
 }
 
 void Request::validate() const {
-  if (shard_count == 0 || shard_index >= shard_count)
-    throw ExecError("exec: shard index must satisfy 0 <= i < n");
-  if (kind == Kind::scenario && shard_count != 1)
-    throw ExecError("exec: a scenario request cannot be sharded");
-  if (indices.empty()) return;
+  if (!indices) return;
   if (kind == Kind::scenario)
     throw ExecError("exec: a scenario request cannot carry indices");
-  if (shard_count != 1)
-    throw ExecError("exec: indices and a shard slice are mutually"
-                    " exclusive");
+  const std::vector<std::size_t>& list = *indices;
   const std::size_t total = expansion_size();
-  for (std::size_t i = 0; i < indices.size(); ++i) {
-    if (indices[i] >= total)
-      throw ExecError("exec: index " + std::to_string(indices[i]) +
+  for (std::size_t i = 0; i < list.size(); ++i) {
+    if (list[i] >= total)
+      throw ExecError("exec: index " + std::to_string(list[i]) +
                       " out of range for a " + std::to_string(total) +
                       "-cell campaign");
-    if (i > 0 && indices[i] <= indices[i - 1])
+    if (i > 0 && list[i] <= list[i - 1])
       throw ExecError("exec: indices must be strictly increasing");
   }
 }

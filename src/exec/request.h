@@ -1,17 +1,18 @@
 // The unit of work of the execution layer.
 //
 // A Request is a *resolved* scenario or campaign document plus the knobs
-// that are orthogonal to it: a result cache, a thread budget and a shard
-// slice.  None of the knobs may change result bytes — only where results
-// come from (cache), how fast they arrive (threads) and which slice of the
-// campaign expansion runs (shard).  An Outcome is the matching artifact —
-// ScenarioResult or CampaignSummary — together with execution diagnostics,
-// and Outcome::artifact() is byte-for-byte what `clktune run` / `sweep`
-// print for the same inputs.
+// that are orthogonal to it: a result cache, a thread budget and an index
+// selection.  None of the knobs may change result bytes — only where
+// results come from (cache), how fast they arrive (threads) and which cells
+// of the campaign expansion run (indices).  An Outcome is the matching
+// artifact — ScenarioResult or CampaignSummary — together with execution
+// diagnostics, and Outcome::artifact() is byte-for-byte what `clktune run`
+// / `sweep` print for the same inputs.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,22 +26,12 @@ class ResultCache;
 
 namespace clktune::exec {
 
-/// A malformed or unsupported execution request (bad shard bounds, a
+/// A malformed or unsupported execution request (a bad index selection, a
 /// backend asked to run a kind it cannot, a remote failure).
 class ExecError : public std::runtime_error {
  public:
   explicit ExecError(const std::string& what) : std::runtime_error(what) {}
 };
-
-/// Cells a round-robin shard slice covers: of `total` expansion indices,
-/// shard `index` of `count` runs those with idx % count == index.  The one
-/// definition of the slice arithmetic — Request::shard_cells and the merge
-/// validation both derive from it, keeping `report --merge` the exact
-/// inverse of `--shard`.
-constexpr std::size_t shard_cell_count(std::size_t total, std::size_t index,
-                                       std::size_t count) {
-  return total / count + (index < total % count ? 1 : 0);
-}
 
 struct Request {
   enum class Kind { scenario, campaign };
@@ -60,17 +51,13 @@ struct Request {
   /// results back.  RemoteExecutor ignores it — the daemon owns its own.
   cache::ResultCache* cache = nullptr;
 
-  /// Run only expansion indices with index % shard_count == shard_index.
-  std::size_t shard_index = 0;
-  std::size_t shard_count = 1;
-
-  /// Explicit expansion-index selection (campaign only): when non-empty the
-  /// request runs exactly these global indices — the work-unit form that
-  /// fleet dispatch feeds to daemons, strictly increasing, in range, and
-  /// mutually exclusive with a shard slice.  The resulting summary is a
-  /// partial (its cells cover just these indices); callers reassemble the
-  /// full campaign from the streamed per-cell events, not from it.
-  std::vector<std::size_t> indices;
+  /// Expansion-index selection (campaign only).  Absent runs the whole
+  /// expansion; present runs exactly these global indices, strictly
+  /// increasing and in range, and an empty list runs no cell.  Fleet work
+  /// units and `--shard i/n` (the list i, i+n, ...) both take this form.
+  /// A list short of the whole expansion yields a partial summary that
+  /// records it (CampaignSummary::selection) for `report --merge`.
+  std::optional<std::vector<std::size_t>> indices;
 
   static Request for_scenario(scenario::ScenarioSpec spec);
   static Request for_campaign(scenario::CampaignSpec spec);
@@ -86,13 +73,12 @@ struct Request {
   /// Number of cells the request expands to (1 for a scenario).
   std::size_t expansion_size() const;
 
-  /// Number of cells this request's selection covers: the explicit index
-  /// list when present, the shard slice otherwise.
-  std::size_t shard_cells() const;
+  /// The global expansion indices this request runs, ascending: the index
+  /// list when present, every index otherwise.
+  std::vector<std::size_t> selection() const;
 
-  /// Throws ExecError on out-of-range shard bounds (or a sharded
-  /// scenario), and on an explicit index list that is non-campaign,
-  /// combined with a shard slice, out of range or not strictly increasing.
+  /// Throws ExecError on an index list that is non-campaign, out of range
+  /// or not strictly increasing.
   void validate() const;
 };
 

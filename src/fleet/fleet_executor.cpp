@@ -607,7 +607,7 @@ FleetExecutor::FleetExecutor(FleetSpec spec, FleetOptions options)
 exec::Outcome FleetExecutor::execute(const exec::Request& request,
                                      exec::Observer* observer) {
   request.validate();
-  if (request.shard_count != 1 || !request.indices.empty())
+  if (request.indices)
     throw ExecError("fleet: request already carries a selection");
   const util::Stopwatch timer;
 

@@ -1,14 +1,13 @@
 // Fault-tolerant multi-daemon campaign orchestration: work-stealing
 // dispatch over a pool of `clktune serve` daemons.
 //
-// FleetExecutor supersedes static `i/n` sharding (exec::ShardedExecutor
-// over exec::RemoteExecutors) for cross-host fan-out: instead of fixing
-// each daemon's slice up front, it splits a campaign's expansion indices
-// into small work units on a single shared queue and lets every daemon
-// pull the next unit the moment it finishes one — a fast machine simply
-// takes more units, and an uneven campaign never leaves half the pool
-// idle.  Each unit travels as a `{"cmd":"sweep","indices":[...]}` request
-// (docs/serve_protocol.md), so the daemons need no fleet awareness at all.
+// FleetExecutor supersedes static `--shard i/n` splits for cross-host
+// fan-out: instead of fixing each daemon's index list up front, it splits
+// a campaign's expansion indices into small work units on a single shared
+// queue and lets every daemon pull the next unit the moment it finishes
+// one — a fast machine simply takes more units, and an uneven campaign
+// never leaves half the pool idle.  Each unit travels as an `"indices"`
+// list (docs/serve_protocol.md), so the daemons need no fleet awareness.
 //
 // Units travel through each daemon's durable job queue: the dispatcher
 // submits the unit as an async job ({"cmd":"submit","indices":[...]}) and
@@ -76,11 +75,11 @@ class FleetExecutor : public exec::Executor {
   /// Throws exec::ExecError on an empty pool.
   explicit FleetExecutor(FleetSpec spec, FleetOptions options = {});
 
-  /// Throws exec::ExecError when the request already carries a selection
-  /// (shard slice or index list), when no daemon is healthy, or when a
-  /// unit exhausts its retries; exec::CancelledError when the observer
-  /// cancels.  Observer cells arrive with global expansion indices, each
-  /// exactly once, from dispatcher threads.
+  /// Throws exec::ExecError when the request already carries an index
+  /// selection, when no daemon is healthy, or when a unit exhausts its
+  /// retries; exec::CancelledError when the observer cancels.  Observer
+  /// cells arrive with global expansion indices, each exactly once, from
+  /// dispatcher threads.
   exec::Outcome execute(const exec::Request& request,
                         exec::Observer* observer = nullptr) override;
 

@@ -40,7 +40,7 @@ bool is_terminal(JobState state) {
 }
 
 std::vector<std::size_t> JobRecord::selection() const {
-  if (!indices.empty()) return indices;
+  if (indices) return *indices;
   std::vector<std::size_t> all;
   all.reserve(cells_total);
   for (std::size_t i = 0; i < cells_total; ++i) all.push_back(i);
@@ -56,9 +56,9 @@ util::Json JobRecord::to_json() const {
   j.set("kind", kind);
   j.set("name", name);
   j.set("doc", doc);
-  if (!indices.empty()) {
+  if (indices) {
     Json list = Json::array();
-    for (const std::size_t index : indices)
+    for (const std::size_t index : *indices)
       list.push_back(static_cast<std::uint64_t>(index));
     j.set("indices", std::move(list));
   }
@@ -87,9 +87,11 @@ JobRecord JobRecord::from_json(const util::Json& j) {
   rec.kind = j.at("kind").as_string();
   rec.name = j.at("name").as_string();
   rec.doc = j.at("doc");
-  if (const Json* list = j.find("indices"))
+  if (const Json* list = j.find("indices")) {
+    rec.indices.emplace();
     for (const Json& index : list->as_array())
-      rec.indices.push_back(static_cast<std::size_t>(index.as_uint()));
+      rec.indices->push_back(static_cast<std::size_t>(index.as_uint()));
+  }
   rec.cells_total = static_cast<std::size_t>(j.at("cells_total").as_uint());
   for (const Json& index : j.at("done").as_array())
     rec.done_indices.push_back(static_cast<std::size_t>(index.as_uint()));

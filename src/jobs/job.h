@@ -25,6 +25,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -66,9 +67,9 @@ struct JobRecord {
   std::string kind;  ///< "scenario" | "campaign"
   std::string name;  ///< scenario/campaign name, for humans
   util::Json doc;    ///< resolved document (exec::Request::document)
-  /// Explicit expansion-index selection (campaign work units); empty =
-  /// the whole expansion.
-  std::vector<std::size_t> indices;
+  /// Explicit expansion-index selection (campaign work units), never
+  /// empty; absent = the whole expansion.
+  std::optional<std::vector<std::size_t>> indices;
   std::size_t cells_total = 0;  ///< cells the selection covers
   /// Global expansion indices already finished, sorted — the per-cell
   /// checkpoints that make a half-run job resumable and replayable.

@@ -148,18 +148,19 @@ void JobScheduler::stop() {
   if (watchdog.joinable()) watchdog.join();
 }
 
-JobRecord JobScheduler::submit(const util::Json& doc,
-                               std::vector<std::size_t> indices) {
+JobRecord JobScheduler::submit(
+    const util::Json& doc, std::optional<std::vector<std::size_t>> indices) {
   // Validate at admission: a malformed document must fail the submit
   // verb, never a worker minutes later.  The *resolved* document is what
   // gets persisted, so recovery and replay never depend on parser
   // defaults staying stable.
+  if (indices && indices->empty())
+    throw JobError("a job must cover a cell; the \"indices\" list is empty");
   exec::Request request = exec::Request::from_json(doc);
   request.indices = indices;
   request.validate();
   const bool campaign = request.kind == exec::Request::Kind::campaign;
-  const std::size_t cells_total =
-      indices.empty() ? request.expansion_size() : indices.size();
+  const std::size_t cells_total = request.selection().size();
   JobRecord rec = store_.create(
       request.document(), campaign ? "campaign" : "scenario",
       campaign ? request.campaign.name : request.scenario.name,

@@ -82,10 +82,13 @@ class JobScheduler {
   /// safe to call from any thread.
   void stop();
 
-  /// Admits a document (optionally an explicit campaign index selection).
-  /// Validates eagerly — a malformed document throws here, at submission,
-  /// never later inside a worker.  Returns the queued record.
-  JobRecord submit(const util::Json& doc, std::vector<std::size_t> indices);
+  /// Admits a document, optionally with a campaign index selection
+  /// (nullopt = the whole expansion).  Validates eagerly — a malformed
+  /// document or an empty selection (a job must cover a cell) throws here,
+  /// at submission, never later inside a worker.  Returns the queued
+  /// record.
+  JobRecord submit(const util::Json& doc,
+                   std::optional<std::vector<std::size_t>> indices);
 
   std::optional<JobRecord> get(const std::string& id) const;
   std::vector<JobRecord> list() const;

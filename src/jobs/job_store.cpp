@@ -62,14 +62,15 @@ std::string nonce8() {
 /// Content hash of what the job runs: the canonical resolved document
 /// salted with the selection, so the same sweep with different work-unit
 /// indices hashes differently.
-std::string content_hash12(const Json& doc,
-                           const std::vector<std::size_t>& indices) {
+std::string content_hash12(
+    const Json& doc, const std::optional<std::vector<std::size_t>>& indices) {
   util::Sha256 hasher;
   hasher.update(util::canonical_dump(doc));
-  for (const std::size_t index : indices) {
-    hasher.update(":");
-    hasher.update(std::to_string(index));
-  }
+  if (indices)
+    for (const std::size_t index : *indices) {
+      hasher.update(":");
+      hasher.update(std::to_string(index));
+    }
   return hasher.hex_digest().substr(0, 12);
 }
 
@@ -127,7 +128,7 @@ std::size_t JobStore::load() {
 }
 
 JobRecord JobStore::create(util::Json doc, std::string kind, std::string name,
-                           std::vector<std::size_t> indices,
+                           std::optional<std::vector<std::size_t>> indices,
                            std::size_t cells_total) {
   const std::lock_guard<std::mutex> lock(mutex_);
   JobRecord rec;

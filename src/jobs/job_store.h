@@ -45,7 +45,8 @@ class JobStore {
   /// Admits a new job: assigns `<hash12>-<nonce8>` id, the next sequence
   /// number and timestamps, persists the envelope, returns the record.
   JobRecord create(util::Json doc, std::string kind, std::string name,
-                   std::vector<std::size_t> indices, std::size_t cells_total);
+                   std::optional<std::vector<std::size_t>> indices,
+                   std::size_t cells_total);
 
   std::optional<JobRecord> get(const std::string& id) const;
   /// Every job, in submission (sequence) order.

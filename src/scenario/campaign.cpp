@@ -174,11 +174,14 @@ std::vector<ScenarioSpec> CampaignSpec::expand() const {
 Json CampaignSummary::to_json(bool include_timing) const {
   Json j = Json::object();
   j.set("name", name);
-  if (shard_count > 1) {
-    Json shard = Json::object();
-    shard.set("index", static_cast<std::uint64_t>(shard_index));
-    shard.set("count", static_cast<std::uint64_t>(shard_count));
-    j.set("shard", std::move(shard));
+  if (selection) {
+    Json indices = Json::array();
+    for (const std::size_t index : selection->indices)
+      indices.push_back(static_cast<std::uint64_t>(index));
+    Json selected = Json::object();
+    selected.set("of", static_cast<std::uint64_t>(selection->of));
+    selected.set("indices", std::move(indices));
+    j.set("selection", std::move(selected));
   }
   j.set("scenarios_run", scenarios_run);
   j.set("targets_missed", targets_missed);
@@ -207,17 +210,32 @@ Json CampaignSummary::to_json(bool include_timing) const {
 CampaignSummary CampaignSummary::from_json(const Json& j) {
   CampaignSummary summary;
   summary.name = j.at("name").as_string();
-  if (const Json* shard = j.find("shard")) {
-    summary.shard_index =
-        static_cast<std::size_t>(shard->at("index").as_uint());
-    summary.shard_count =
-        static_cast<std::size_t>(shard->at("count").as_uint());
-    if (summary.shard_count == 0 ||
-        summary.shard_index >= summary.shard_count)
-      throw JsonError("summary: shard index must satisfy 0 <= i < n");
-  }
+  if (j.contains("shard"))
+    throw JsonError("summary: \"shard\" is the old slice record; re-run"
+                    " the sweep to record a \"selection\"");
   for (const Json& r : j.at("results").as_array())
     summary.results.push_back(ScenarioResult::from_json(r));
+  if (const Json* selected = j.find("selection")) {
+    Selection selection;
+    selection.of = static_cast<std::size_t>(selected->at("of").as_uint());
+    for (const Json& index : selected->at("indices").as_array())
+      selection.indices.push_back(static_cast<std::size_t>(index.as_uint()));
+    const std::vector<std::size_t>& list = selection.indices;
+    if (list.size() != summary.results.size())
+      throw JsonError("summary: selection lists " +
+                      std::to_string(list.size()) + " indices for " +
+                      std::to_string(summary.results.size()) + " results");
+    for (std::size_t k = 0; k < list.size(); ++k) {
+      if (list[k] >= selection.of)
+        throw JsonError("summary: selection index " +
+                        std::to_string(list[k]) + " is not below of = " +
+                        std::to_string(selection.of));
+      if (k > 0 && list[k] <= list[k - 1])
+        throw JsonError(
+            "summary: selection indices must be strictly increasing");
+    }
+    summary.selection = std::move(selection);
+  }
   // The counters are recomputed rather than trusted, so a hand-edited
   // artifact cannot disagree with its own cells; the aggregate block is
   // derived in to_json the same way.
@@ -225,6 +243,14 @@ CampaignSummary CampaignSummary::from_json(const Json& j) {
   if (const Json* seconds = j.find("total_seconds"))
     summary.total_seconds = seconds->as_double();
   return summary;
+}
+
+void CampaignSummary::set_selection(std::size_t of,
+                                    std::vector<std::size_t> indices) {
+  if (indices.size() == of)
+    selection.reset();
+  else
+    selection = Selection{of, std::move(indices)};
 }
 
 void CampaignSummary::recount() {

@@ -24,6 +24,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -63,25 +64,36 @@ struct CampaignSpec {
 };
 
 struct CampaignSummary {
+  /// The cells of a partial summary: results[k] is expansion index
+  /// indices[k] (strictly increasing) of a campaign of `of` cells.
+  struct Selection {
+    std::size_t of = 0;
+    std::vector<std::size_t> indices;
+  };
+
   std::string name;
-  std::vector<ScenarioResult> results;  ///< shard cells, in expansion order
+  std::vector<ScenarioResult> results;  ///< selected cells, expansion order
   std::uint64_t scenarios_run = 0;
   std::uint64_t targets_missed = 0;
   /// Cells served from the result cache (subset of scenarios_run).  Not
   /// serialised: a warm summary must stay byte-identical to a cold one.
   std::uint64_t scenarios_cached = 0;
-  /// Which slice of the expansion this summary covers (i of n); recorded in
-  /// the JSON when sharded so partial summaries are self-describing.
-  std::size_t shard_index = 0;
-  std::size_t shard_count = 1;
+  /// Absent for a summary of the whole expansion; recorded in the JSON as
+  /// "selection" otherwise, so partial summaries are self-describing.
+  std::optional<Selection> selection;
   double total_seconds = 0.0;  ///< wall clock of the whole batch
+
+  /// Records that the results are cells `indices` of an `of`-cell
+  /// expansion.  A list of every cell records nothing, so a whole-campaign
+  /// summary keeps its bytes however its cells were selected.
+  void set_selection(std::size_t of, std::vector<std::size_t> indices);
 
   /// Deterministic (timing-free) by default.
   util::Json to_json(bool include_timing = false) const;
 
   /// Rederives scenarios_run and targets_missed from the cells — the one
   /// place those counters are defined; every producer (local execution,
-  /// remote reassembly, shard merge, from_json) calls this instead of
+  /// remote reassembly, merge, from_json) calls this instead of
   /// counting by hand.  scenarios_cached is left alone: it is execution
   /// provenance, not derivable from the cells.
   void recount();
@@ -91,12 +103,14 @@ struct CampaignSummary {
   /// from_json(s.to_json()).to_json() reproduces the original bytes —
   /// the aggregate block is recomputed from the cells, and cells round
   /// trip via ScenarioResult.  Backs `clktune report --merge` and the
-  /// remote execution backend.  Throws util::JsonError on shape errors.
+  /// remote execution backend.  Throws util::JsonError on shape errors and
+  /// on a selection that disagrees with the file's own cells (indices not
+  /// strictly increasing, not below `of`, or not one per result).
   static CampaignSummary from_json(const util::Json& j);
 };
 
 // Campaign execution lives in the exec layer: exec::LocalExecutor expands
-// and runs a CampaignSpec (optionally cached / sharded), and
-// exec::merge_shard_summaries reassembles shard summaries.
+// and runs a CampaignSpec (optionally cached / index-selected), and
+// exec::merge_shard_summaries reassembles partial summaries.
 
 }  // namespace clktune::scenario

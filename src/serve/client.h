@@ -41,8 +41,8 @@ struct SubmitOptions {
 
 /// Sends one pre-built request line verbatim and collects the response
 /// stream — the layer RemoteExecutor and fleet::FleetExecutor build on,
-/// for requests that carry members beyond cmd/doc (e.g. a "shard" slice or
-/// an "indices" work unit).  Throws std::runtime_error on connection
+/// for requests that carry members beyond cmd/doc (e.g. an "indices"
+/// selection or a job id).  Throws std::runtime_error on connection
 /// failure or an expired deadline and util::JsonError on a malformed
 /// response line; exceptions from `on_event` propagate (closing the
 /// connection), which is how an observer aborts a stream.

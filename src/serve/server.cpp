@@ -106,6 +106,18 @@ Json done_event(std::uint64_t scenarios_run, std::uint64_t targets_missed,
   return event;
 }
 
+/// A request's "indices" member: absent selects the whole expansion, an
+/// empty list selects no cell.
+std::optional<std::vector<std::size_t>> indices_member(const Json& request) {
+  const Json* list = request.find("indices");
+  if (list == nullptr) return std::nullopt;
+  std::vector<std::size_t> indices;
+  indices.reserve(list->as_array().size());
+  for (const Json& index : list->as_array())
+    indices.push_back(static_cast<std::size_t>(index.as_uint()));
+  return indices;
+}
+
 /// The wire adapter of the exec layer: every finished cell becomes one
 /// streamed "result" line.  Cells finish on worker threads, hence the
 /// lock; a dead peer stops the stream but never the computation — results
@@ -412,6 +424,13 @@ void ScenarioServer::handle_request(const util::TcpSocket& connection,
 void ScenarioServer::handle_command(const util::TcpSocket& connection,
                                     const std::string& cmd,
                                     const Json& request) {
+  // Protocol v1's "shard" slice would be ignored by every v2 verb, so a
+  // v1 client gets an error frame instead of the whole campaign.
+  if (request.contains("shard"))
+    throw std::runtime_error(
+        "\"shard\" is not a protocol v2 member; select cells with"
+        " \"indices\"");
+
   if (cmd == "status") {
     // With an "id" member this is a *job* status query; without one it is
     // the daemon-wide status frame (which now also carries job counters).
@@ -475,17 +494,8 @@ void ScenarioServer::handle_command(const util::TcpSocket& connection,
   if (cmd == "submit") {
     // Fire-and-forget admission: validate, persist, answer with the job
     // frame — O(enqueue), no cell of computation on this connection.
-    if (request.contains("shard"))
-      throw jobs::JobError(
-          "submit jobs take an \"indices\" selection, not a shard");
-    std::vector<std::size_t> indices;
-    if (const Json* list = request.find("indices")) {
-      indices.reserve(list->as_array().size());
-      for (const Json& index : list->as_array())
-        indices.push_back(static_cast<std::size_t>(index.as_uint()));
-    }
     const jobs::JobRecord job =
-        jobs_->submit(request.at("doc"), std::move(indices));
+        jobs_->submit(request.at("doc"), indices_member(request));
     send_event(connection, job.status_json());
     return;
   }
@@ -606,18 +616,7 @@ void ScenarioServer::handle_command(const util::TcpSocket& connection,
                   scenario::CampaignSpec::from_json(request.at("doc")));
     exec_request.threads = options_.threads;
     exec_request.cache = &cache_;
-    if (const Json* shard = request.find("shard")) {
-      exec_request.shard_index =
-          static_cast<std::size_t>(shard->at("index").as_uint());
-      exec_request.shard_count =
-          static_cast<std::size_t>(shard->at("count").as_uint());
-    }
-    if (const Json* indices = request.find("indices")) {
-      exec_request.indices.reserve(indices->as_array().size());
-      for (const Json& index : indices->as_array())
-        exec_request.indices.push_back(
-            static_cast<std::size_t>(index.as_uint()));
-    }
+    exec_request.indices = indices_member(request);
     exec::LocalExecutor executor;
     StreamObserver observer(connection);
     const exec::Outcome outcome = executor.execute(exec_request, &observer);

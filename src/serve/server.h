@@ -33,19 +33,19 @@
 //                                           identical to run/sweep
 //   {"cmd":"cancel","id":j}              -> job
 //   {"cmd":"jobs"}                       -> jobs (every known job)
-// A submit may carry {"indices":[...]} exactly like sweep.  With a
-// --cache-dir, job envelopes persist under <cache_dir>/jobs and a
+// With a --cache-dir, job envelopes persist under <cache_dir>/jobs and a
 // restarted daemon recovers every job: finished ones replay from the
 // result cache, interrupted ones re-queue.
 //
-// A sweep request may carry one of two selection members:
-//   {"shard":{"index":i,"count":n}}   run expansion indices idx % n == i,
-//                                     exactly like `clktune sweep --shard`
+// A sweep or submit may carry one selection member:
 //   {"indices":[i0,i1,...]}           run exactly these global expansion
-//                                     indices (strictly increasing)
-// The shard form backs static fan-out (exec::ShardedExecutor over
-// exec::RemoteExecutors); the indices form is the work-unit interface that
-// fleet::FleetExecutor feeds daemons work-stealing style.
+//                                     indices (strictly increasing); an
+//                                     empty list runs no cell (sweep) or
+//                                     is refused (submit: a job must
+//                                     cover a cell)
+// It is the work-unit interface fleet::FleetExecutor feeds daemons, and
+// what `clktune submit --shard i/n` sends.  A "shard" member, protocol
+// v1's round-robin slice, gets an error frame on every verb.
 //
 //   result: {"event":"result","index":i,"cached":bool,"result":{artifact}}
 //   done:   {"event":"done","ok":true,"scenarios_run":n,
@@ -96,8 +96,9 @@ namespace clktune::serve {
 
 /// Wire protocol version, carried by the status and metrics frames.
 /// Bumped on incompatible frame-shape changes (additive members do not
-/// count); v1 is the first versioned protocol.
-inline constexpr std::uint64_t kProtocolVersion = 1;
+/// count).  v1 was the first versioned protocol; v2 made "indices" the
+/// only selection member and refuses v1's "shard".
+inline constexpr std::uint64_t kProtocolVersion = 2;
 
 /// Longest request line the daemon buffers, far above any real document.
 /// A longer line gets a `too_large` error frame and costs its connection.

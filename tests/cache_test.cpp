@@ -372,7 +372,7 @@ TEST(ResultRoundTripTest, ScenarioResultJsonIsByteExact) {
   EXPECT_EQ(rebuilt.seconds, 0.0);  // timing is not part of the artifact
 }
 
-// ------------------------------------------------- campaign cache + shard
+// --------------------------------------------- campaign cache + selection
 
 TEST(CampaignCacheTest, WarmRerunComputesNothingAndMatchesColdBytes) {
   const auto spec = scenario::CampaignSpec::from_json(tiny_campaign_doc());
@@ -397,11 +397,10 @@ TEST(CampaignShardTest, ShardsPartitionTheExpansion) {
   const exec::Request request = exec::Request::for_campaign(spec);
   const scenario::CampaignSummary full = executor.execute(request).summary;
 
+  // `--shard 0/2` and `--shard 1/2` are the index lists {0} and {1}.
   exec::Request shard0 = request, shard1 = request;
-  shard0.shard_index = 0;
-  shard0.shard_count = 2;
-  shard1.shard_index = 1;
-  shard1.shard_count = 2;
+  shard0.indices = std::vector<std::size_t>{0};
+  shard1.indices = std::vector<std::size_t>{1};
   const scenario::CampaignSummary a = executor.execute(shard0).summary;
   const scenario::CampaignSummary b = executor.execute(shard1).summary;
 
@@ -411,13 +410,12 @@ TEST(CampaignShardTest, ShardsPartitionTheExpansion) {
   EXPECT_EQ(a.results[0].to_json().dump(), full.results[0].to_json().dump());
   EXPECT_EQ(b.results[0].to_json().dump(), full.results[1].to_json().dump());
 
-  // Sharded summaries are self-describing; the full one stays unchanged.
-  EXPECT_NE(a.to_json().dump().find("\"shard\""), std::string::npos);
-  EXPECT_EQ(full.to_json().dump().find("\"shard\""), std::string::npos);
+  // Partial summaries are self-describing; the full one stays unchanged.
+  EXPECT_NE(a.to_json().dump().find("\"selection\""), std::string::npos);
+  EXPECT_EQ(full.to_json().dump().find("\"selection\""), std::string::npos);
 
   exec::Request bad = request;
-  bad.shard_index = 2;
-  bad.shard_count = 2;
+  bad.indices = std::vector<std::size_t>{2};
   EXPECT_THROW(executor.execute(bad), exec::ExecError);
 }
 

@@ -1,19 +1,19 @@
 // Execution-layer tests.  The load-bearing property is backend
 // equivalence: the same request must produce byte-identical artifacts
-// through LocalExecutor, RemoteExecutor (a real loopback daemon) and
-// ShardedExecutor (shard fan-out + expansion-order merge) — that is what
-// makes the backends composable.  Also covered: shard-summary merge
-// validation (the `report --merge` path), CampaignSummary round trips,
-// observer streaming and cooperative cancellation.
+// through LocalExecutor and RemoteExecutor (a real loopback daemon), with
+// or without an index selection — that is what makes the backends
+// composable.  Also covered: the merge of partial summaries (the
+// `report --merge` path), CampaignSummary round trips and selection
+// checks, observer streaming and cooperative cancellation.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "cache/result_cache.h"
@@ -22,7 +22,6 @@
 #include "exec/observer.h"
 #include "exec/remote_executor.h"
 #include "exec/request.h"
-#include "exec/sharded_executor.h"
 #include "scenario/campaign.h"
 #include "scenario/scenario.h"
 #include "serve/server.h"
@@ -57,6 +56,13 @@ Json tiny_campaign_doc() {
 
 exec::Request campaign_request() {
   return exec::Request::from_json(tiny_campaign_doc());
+}
+
+/// The two-cell campaign restricted to `indices`.
+exec::Request selected_request(std::vector<std::size_t> indices) {
+  exec::Request request = campaign_request();
+  request.indices = std::move(indices);
+  return request;
 }
 
 Json criticality_scenario_doc() {
@@ -132,7 +138,7 @@ class ExecServerFixture : public ::testing::Test {
 
 // ------------------------------------------------------ backend equivalence
 
-TEST_F(ExecServerFixture, AllThreeBackendsProduceByteIdenticalSummaries) {
+TEST_F(ExecServerFixture, LocalAndRemoteProduceByteIdenticalSummaries) {
   const exec::Request request = campaign_request();
 
   exec::LocalExecutor local;
@@ -141,21 +147,12 @@ TEST_F(ExecServerFixture, AllThreeBackendsProduceByteIdenticalSummaries) {
   exec::RemoteExecutor remote("127.0.0.1", server_->port());
   const exec::Outcome via_remote = remote.execute(request);
 
-  std::vector<std::unique_ptr<exec::Executor>> children;
-  children.push_back(std::make_unique<exec::LocalExecutor>());
-  children.push_back(std::make_unique<exec::LocalExecutor>());
-  exec::ShardedExecutor sharded(std::move(children));
-  const exec::Outcome via_sharded = sharded.execute(request);
-
   const std::string expected = via_local.artifact().dump();
   EXPECT_EQ(via_remote.artifact().dump(), expected);
-  EXPECT_EQ(via_sharded.artifact().dump(), expected);
 
   EXPECT_EQ(via_local.backend, "local");
-  EXPECT_EQ(via_sharded.backend, "sharded(2)");
   EXPECT_NE(via_remote.backend.find("remote(127.0.0.1:"), std::string::npos);
-  for (const exec::Outcome* outcome :
-       {&via_local, &via_remote, &via_sharded}) {
+  for (const exec::Outcome* outcome : {&via_local, &via_remote}) {
     EXPECT_EQ(outcome->scenarios_run, 2u);
     EXPECT_TRUE(outcome->ok());
   }
@@ -180,16 +177,10 @@ TEST_F(ExecServerFixture, AnalysisKindsAreByteIdenticalAcrossBackends) {
   exec::RemoteExecutor remote("127.0.0.1", server_->port());
   EXPECT_EQ(remote.execute(crit).artifact().dump(), crit_expected);
 
-  // Binning: a two-cell campaign through all three backends.
+  // Binning: a two-cell campaign through both backends.
   const exec::Request bins = exec::Request::from_json(binning_campaign_doc());
   const std::string bins_expected = local.execute(bins).artifact().dump();
   EXPECT_EQ(remote.execute(bins).artifact().dump(), bins_expected);
-
-  std::vector<std::unique_ptr<exec::Executor>> children;
-  children.push_back(std::make_unique<exec::LocalExecutor>());
-  children.push_back(std::make_unique<exec::LocalExecutor>());
-  exec::ShardedExecutor sharded(std::move(children));
-  EXPECT_EQ(sharded.execute(bins).artifact().dump(), bins_expected);
 
   // The artifacts really are kind-tagged (not silently downgraded).
   const Json summary = Json::parse(bins_expected);
@@ -222,9 +213,8 @@ TEST_F(ExecServerFixture, ScenarioRequestMatchesDirectExecution) {
 }
 
 TEST_F(ExecServerFixture, RemoteShardSliceMatchesLocalShard) {
-  exec::Request request = campaign_request();
-  request.shard_index = 0;
-  request.shard_count = 2;
+  // `--shard 0/2` of the two-cell campaign is the index list {0}.
+  const exec::Request request = selected_request({0});
 
   exec::LocalExecutor local;
   exec::RemoteExecutor remote("127.0.0.1", server_->port());
@@ -232,21 +222,17 @@ TEST_F(ExecServerFixture, RemoteShardSliceMatchesLocalShard) {
             local.execute(request).artifact().dump());
 }
 
-TEST_F(ExecServerFixture, ExplicitIndicesMatchLocalAndShardSelections) {
-  exec::Request request = campaign_request();
-  request.indices = {1};
+TEST_F(ExecServerFixture, ExplicitIndicesMatchTheFullSweepsCells) {
+  const exec::Request request = selected_request({1});
 
-  // The same single cell through an index list and through the equivalent
-  // shard slice is byte-identical — both are selections, not computations.
+  // A single selected cell is byte-identical to the same cell of the full
+  // sweep — a selection, not a different computation.
   exec::LocalExecutor local;
   const exec::Outcome via_indices = local.execute(request);
-  exec::Request slice = campaign_request();
-  slice.shard_index = 1;
-  slice.shard_count = 2;
-  const exec::Outcome via_shard = local.execute(slice);
+  const exec::Outcome full = local.execute(campaign_request());
   ASSERT_EQ(via_indices.summary.results.size(), 1u);
   EXPECT_EQ(via_indices.summary.results[0].to_json().dump(),
-            via_shard.summary.results[0].to_json().dump());
+            full.summary.results[1].to_json().dump());
 
   // And the remote backend forwards the list for daemon-side selection.
   exec::RemoteExecutor remote("127.0.0.1", server_->port());
@@ -255,101 +241,64 @@ TEST_F(ExecServerFixture, ExplicitIndicesMatchLocalAndShardSelections) {
             via_indices.artifact().dump());
   EXPECT_EQ(observer.indices, (std::set<std::size_t>{1}));
 
-  // The full expansion as an explicit list reproduces the plain sweep.
-  exec::Request all = campaign_request();
-  all.indices = {0, 1};
-  EXPECT_EQ(local.execute(all).artifact().dump(),
-            local.execute(campaign_request()).artifact().dump());
+  // The full expansion as an explicit list reproduces the plain sweep's
+  // bytes: a list of every cell records no selection.
+  EXPECT_EQ(local.execute(selected_request({0, 1})).artifact().dump(),
+            full.artifact().dump());
+
+  // An empty list runs no cell, locally and on the daemon alike.
+  const exec::Outcome none = local.execute(selected_request({}));
+  EXPECT_EQ(none.scenarios_run, 0u);
+  ASSERT_TRUE(none.summary.selection.has_value());
+  EXPECT_EQ(none.summary.selection->of, 2u);
+  RecordingObserver remote_observer;
+  const exec::Outcome remote_none =
+      remote.execute(selected_request({}), &remote_observer);
+  EXPECT_EQ(remote_none.artifact().dump(), none.artifact().dump());
+  EXPECT_TRUE(remote_observer.indices.empty());
 }
 
 TEST(RequestValidationTest, RejectsMalformedIndexSelections) {
   exec::Request scenario_request =
       exec::Request::from_json(tiny_scenario_doc());
-  scenario_request.indices = {0};
+  scenario_request.indices = std::vector<std::size_t>{0};
+  EXPECT_THROW(scenario_request.validate(), exec::ExecError);
+  scenario_request.indices = std::vector<std::size_t>{};
   EXPECT_THROW(scenario_request.validate(), exec::ExecError);
 
-  exec::Request doubly_selected = campaign_request();
-  doubly_selected.indices = {0};
-  doubly_selected.shard_index = 0;
-  doubly_selected.shard_count = 2;
-  EXPECT_THROW(doubly_selected.validate(), exec::ExecError);
+  EXPECT_THROW(selected_request({7}).validate(), exec::ExecError);
+  EXPECT_THROW(selected_request({1, 0}).validate(), exec::ExecError);
+  EXPECT_THROW(selected_request({1, 1}).validate(), exec::ExecError);
 
-  exec::Request out_of_range = campaign_request();
-  out_of_range.indices = {7};
-  EXPECT_THROW(out_of_range.validate(), exec::ExecError);
-
-  exec::Request unsorted = campaign_request();
-  unsorted.indices = {1, 0};
-  EXPECT_THROW(unsorted.validate(), exec::ExecError);
-
-  exec::Request duplicated = campaign_request();
-  duplicated.indices = {1, 1};
-  EXPECT_THROW(duplicated.validate(), exec::ExecError);
-
-  exec::Request good = campaign_request();
-  good.indices = {0, 1};
+  // Absent selects every cell; an empty list selects none.
+  EXPECT_EQ(campaign_request().selection(),
+            (std::vector<std::size_t>{0, 1}));
+  const exec::Request none = selected_request({});
+  none.validate();
+  EXPECT_TRUE(none.selection().empty());
+  const exec::Request good = selected_request({0, 1});
   good.validate();
-  EXPECT_EQ(good.shard_cells(), 2u);
-}
-
-TEST(ShardedExecutorTest, ScenarioDelegatesAndDoubleShardingIsRejected) {
-  std::vector<std::unique_ptr<exec::Executor>> children;
-  children.push_back(std::make_unique<exec::LocalExecutor>());
-  exec::ShardedExecutor sharded(std::move(children));
-
-  const exec::Request scenario_request =
-      exec::Request::from_json(tiny_scenario_doc());
-  const exec::Outcome outcome = sharded.execute(scenario_request);
-  EXPECT_EQ(outcome.scenarios_run, 1u);
-
-  exec::Request sliced = campaign_request();
-  sliced.shard_index = 1;
-  sliced.shard_count = 2;
-  EXPECT_THROW(sharded.execute(sliced), exec::ExecError);
-
-  EXPECT_THROW(
-      exec::ShardedExecutor(std::vector<std::unique_ptr<exec::Executor>>{}),
-      exec::ExecError);
-}
-
-TEST(ShardedExecutorTest, ChildFailureSurfacesAsTheRootCause) {
-  // An unreachable-daemon stand-in: the failing child aborts immediately,
-  // flips the shared abort flag so the healthy sibling stops early, and
-  // its ExecError — not a reactive CancelledError — must surface.
-  struct FailingExecutor : exec::Executor {
-    exec::Outcome execute(const exec::Request&, exec::Observer*) override {
-      throw exec::ExecError("daemon unreachable");
-    }
-    std::string name() const override { return "failing"; }
-  };
-  std::vector<std::unique_ptr<exec::Executor>> children;
-  children.push_back(std::make_unique<FailingExecutor>());
-  children.push_back(std::make_unique<exec::LocalExecutor>());
-  exec::ShardedExecutor sharded(std::move(children));
-  EXPECT_THROW(sharded.execute(campaign_request()), exec::ExecError);
+  EXPECT_EQ(good.selection(), (std::vector<std::size_t>{0, 1}));
 }
 
 // ------------------------------------------------------------------- merge
 
 TEST(MergeTest, ShardSummariesMergeToUnshardedBytes) {
   exec::LocalExecutor local;
-  const exec::Request request = campaign_request();
-  const scenario::CampaignSummary full = local.execute(request).summary;
-
-  exec::Request shard0 = request, shard1 = request;
-  shard0.shard_count = shard1.shard_count = 2;
-  shard0.shard_index = 0;
-  shard1.shard_index = 1;
-  const scenario::CampaignSummary a = local.execute(shard0).summary;
-  const scenario::CampaignSummary b = local.execute(shard1).summary;
+  const scenario::CampaignSummary full =
+      local.execute(campaign_request()).summary;
+  const scenario::CampaignSummary a =
+      local.execute(selected_request({0})).summary;
+  const scenario::CampaignSummary b =
+      local.execute(selected_request({1})).summary;
 
   // Input order must not matter, and the merged bytes must be exactly the
-  // unsharded sweep's (modulo the timing field, which to_json omits).
+  // whole sweep's (modulo the timing field, which to_json omits).
   const scenario::CampaignSummary merged = exec::merge_shard_summaries({b, a});
   EXPECT_EQ(merged.to_json().dump(), full.to_json().dump());
 
   // Through the artifact layer too — the `report --merge` path parses the
-  // shard summaries back from their JSON files first.
+  // partial summaries back from their JSON files first.
   const scenario::CampaignSummary reparsed = exec::merge_shard_summaries(
       {scenario::CampaignSummary::from_json(a.to_json()),
        scenario::CampaignSummary::from_json(b.to_json())});
@@ -358,12 +307,10 @@ TEST(MergeTest, ShardSummariesMergeToUnshardedBytes) {
 
 TEST(MergeTest, RejectsOverlappingMissingAndMismatchedShards) {
   exec::LocalExecutor local;
-  exec::Request shard0 = campaign_request(), shard1 = campaign_request();
-  shard0.shard_count = shard1.shard_count = 2;
-  shard0.shard_index = 0;
-  shard1.shard_index = 1;
-  const scenario::CampaignSummary a = local.execute(shard0).summary;
-  const scenario::CampaignSummary b = local.execute(shard1).summary;
+  const scenario::CampaignSummary a =
+      local.execute(selected_request({0})).summary;
+  const scenario::CampaignSummary b =
+      local.execute(selected_request({1})).summary;
 
   EXPECT_THROW(exec::merge_shard_summaries({}), exec::ExecError);
   EXPECT_THROW(exec::merge_shard_summaries({a, a}), exec::ExecError);
@@ -373,34 +320,51 @@ TEST(MergeTest, RejectsOverlappingMissingAndMismatchedShards) {
   renamed.name = "other_campaign";
   EXPECT_THROW(exec::merge_shard_summaries({a, renamed}), exec::ExecError);
 
-  scenario::CampaignSummary recount = b;
-  recount.shard_count = 3;
-  EXPECT_THROW(exec::merge_shard_summaries({a, recount}), exec::ExecError);
+  scenario::CampaignSummary resized = b;
+  resized.selection->of = 3;
+  EXPECT_THROW(exec::merge_shard_summaries({a, resized}), exec::ExecError);
 
-  // Shard 0 of any non-empty round-robin split can never be empty, so the
-  // cell-count consistency check rejects this pair.
+  // A selection that lists more indices than the summary holds cells.
   scenario::CampaignSummary truncated = a;
   truncated.results.clear();
   EXPECT_THROW(exec::merge_shard_summaries({truncated, b}),
                exec::ExecError);
+
+  // Hand-edited files that claim a huge expansion: the merge must reject
+  // them by their cell count before it sizes anything by "of".
+  for (const std::uint64_t of :
+       {std::uint64_t{1000000000000}, std::uint64_t{1} << 62}) {
+    std::vector<scenario::CampaignSummary> oversized;
+    for (const scenario::CampaignSummary* part : {&a, &b}) {
+      Json edited = part->to_json();
+      edited.find("selection")->set("of", of);
+      oversized.push_back(scenario::CampaignSummary::from_json(edited));
+    }
+    try {
+      exec::merge_shard_summaries(oversized);
+      ADD_FAILURE() << "merge accepted of = " << of;
+    } catch (const exec::ExecError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::to_string(of)),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(MergeTest, EmptyShardsOfAnOversplitCampaignMergeCleanly) {
-  // 3-way split of a 2-cell campaign: shard 2 legitimately runs nothing,
-  // and the merge must still reproduce the unsharded bytes.
+  // `--shard k/3` of a 2-cell campaign: slice 2 is the empty list, which
+  // runs nothing, and the merge must still reproduce the whole sweep.
   exec::LocalExecutor local;
   const scenario::CampaignSummary full =
       local.execute(campaign_request()).summary;
 
-  std::vector<scenario::CampaignSummary> shards;
-  for (std::size_t k = 0; k < 3; ++k) {
-    exec::Request slice = campaign_request();
-    slice.shard_index = k;
-    slice.shard_count = 3;
-    shards.push_back(local.execute(slice).summary);
-  }
-  EXPECT_EQ(shards[2].results.size(), 0u);
-  EXPECT_EQ(exec::merge_shard_summaries(shards).to_json().dump(),
+  std::vector<scenario::CampaignSummary> parts;
+  for (const std::vector<std::size_t>& list :
+       {std::vector<std::size_t>{0}, std::vector<std::size_t>{1},
+        std::vector<std::size_t>{}})
+    parts.push_back(local.execute(selected_request(list)).summary);
+  EXPECT_EQ(parts[2].results.size(), 0u);
+  EXPECT_EQ(exec::merge_shard_summaries(parts).to_json().dump(),
             full.to_json().dump());
 }
 
@@ -415,33 +379,29 @@ TEST(MergeTest, SingleCellCampaignMergesAcrossAnySplit) {
   exec::LocalExecutor local;
   const scenario::CampaignSummary full = local.execute(request).summary;
 
-  // A 1-shard "split" merges to itself; a 2-way split leaves shard 1
-  // empty and still reproduces the unsharded bytes.
+  // A whole summary merges to itself; a 2-way split ({0} and the empty
+  // list) still reproduces the whole sweep's bytes.
   EXPECT_EQ(exec::merge_shard_summaries({full}).to_json().dump(),
             full.to_json().dump());
-  exec::Request shard0 = request, shard1 = request;
-  shard0.shard_count = shard1.shard_count = 2;
-  shard0.shard_index = 0;
-  shard1.shard_index = 1;
+  exec::Request first = request, second = request;
+  first.indices = std::vector<std::size_t>{0};
+  second.indices = std::vector<std::size_t>{};
   const scenario::CampaignSummary merged = exec::merge_shard_summaries(
-      {local.execute(shard0).summary, local.execute(shard1).summary});
+      {local.execute(first).summary, local.execute(second).summary});
   EXPECT_EQ(merged.to_json().dump(), full.to_json().dump());
 }
 
 TEST(MergeTest, DuplicateShardIndexAcrossParsedSummariesIsRejected) {
-  // Two files both claiming shard 0/2 — e.g. the same shard output passed
+  // Two files that both claim cell 0 — e.g. the same partial output passed
   // twice to `report --merge` under different names — must be rejected as
   // overlapping even though names and cell counts agree.
   exec::LocalExecutor local;
-  exec::Request shard0 = campaign_request(), shard1 = campaign_request();
-  shard0.shard_count = shard1.shard_count = 2;
-  shard0.shard_index = 0;
-  shard1.shard_index = 1;
-  const scenario::CampaignSummary a = local.execute(shard0).summary;
+  const scenario::CampaignSummary a =
+      local.execute(selected_request({0})).summary;
 
-  Json relabelled = local.execute(shard1).summary.to_json();
-  ASSERT_NE(relabelled.find("shard"), nullptr);
-  relabelled.find("shard")->set("index", 0);
+  Json relabelled = local.execute(selected_request({1})).summary.to_json();
+  relabelled.find("selection")
+      ->set("indices", Json(util::JsonArray{Json(0)}));
   EXPECT_THROW(
       exec::merge_shard_summaries(
           {a, scenario::CampaignSummary::from_json(relabelled)}),
@@ -450,16 +410,44 @@ TEST(MergeTest, DuplicateShardIndexAcrossParsedSummariesIsRejected) {
 
 TEST(MergeTest, SummaryJsonRoundTripIsByteExact) {
   exec::LocalExecutor local;
-  exec::Request request = campaign_request();
-  request.shard_index = 1;
-  request.shard_count = 2;
-  const scenario::CampaignSummary shard = local.execute(request).summary;
-  const std::string original = shard.to_json().dump();
+  const scenario::CampaignSummary part =
+      local.execute(selected_request({1})).summary;
+  const std::string original = part.to_json().dump();
   const scenario::CampaignSummary rebuilt =
       scenario::CampaignSummary::from_json(Json::parse(original));
   EXPECT_EQ(rebuilt.to_json().dump(), original);
-  EXPECT_EQ(rebuilt.shard_index, 1u);
-  EXPECT_EQ(rebuilt.shard_count, 2u);
+  ASSERT_TRUE(rebuilt.selection.has_value());
+  EXPECT_EQ(rebuilt.selection->of, 2u);
+  EXPECT_EQ(rebuilt.selection->indices, (std::vector<std::size_t>{1}));
+
+  // from_json holds a selection to the file's own cells.
+  const auto rejected = [&](const Json& indices, std::uint64_t of) {
+    Json edited = Json::parse(original);
+    edited.find("selection")->set("indices", indices);
+    edited.find("selection")->set("of", of);
+    EXPECT_THROW(scenario::CampaignSummary::from_json(edited),
+                 util::JsonError)
+        << edited.at("selection").dump(-1);
+  };
+  rejected(Json(util::JsonArray{Json(2)}), 2);          // not below of
+  rejected(Json(util::JsonArray{}), 2);                 // fewer than cells
+  rejected(Json(util::JsonArray{Json(0), Json(1)}), 2); // more than cells
+  Json two_cells = local.execute(campaign_request()).summary.to_json();
+  Json backwards = Json::object();
+  backwards.set("of", 2);
+  backwards.set("indices", Json(util::JsonArray{Json(1), Json(0)}));
+  two_cells.set("selection", std::move(backwards));
+  EXPECT_THROW(scenario::CampaignSummary::from_json(two_cells),
+               util::JsonError);
+
+  // The shard record older versions wrote is refused, not misread as a
+  // whole-campaign summary.
+  Json old = Json::parse(original);
+  Json shard = Json::object();
+  shard.set("index", 1);
+  shard.set("count", 2);
+  old.set("shard", std::move(shard));
+  EXPECT_THROW(scenario::CampaignSummary::from_json(old), util::JsonError);
 }
 
 // ---------------------------------------------------- observer + cancelling
@@ -482,10 +470,9 @@ TEST(ObserverTest, StreamsEveryCellWithGlobalIndices) {
   local.execute(request, &warm);
   EXPECT_EQ(warm.cached_cells, 2u);
 
-  // A shard slice reports its own cell count but global indices.
+  // An index selection reports its own cell count but global indices.
   exec::Request slice = request;
-  slice.shard_index = 1;
-  slice.shard_count = 2;
+  slice.indices = std::vector<std::size_t>{1};
   RecordingObserver sliced;
   local.execute(slice, &sliced);
   EXPECT_EQ(sliced.total_cells, 2u);

@@ -458,13 +458,11 @@ TEST(FleetSpecTest, ExecutorRejectsEmptyPoolsAndPreslicedRequests) {
   pool.members.push_back({"127.0.0.1", 1, 1});
   fleet::FleetExecutor executor(std::move(pool));
 
-  exec::Request sliced = exec::Request::from_json(small_campaign_doc());
-  sliced.shard_index = 1;
-  sliced.shard_count = 2;
-  EXPECT_THROW(executor.execute(sliced), exec::ExecError);
-
+  // Any selection is refused, the empty one included.
   exec::Request indexed = exec::Request::from_json(small_campaign_doc());
-  indexed.indices = {0, 1};
+  indexed.indices = std::vector<std::size_t>{0, 1};
+  EXPECT_THROW(executor.execute(indexed), exec::ExecError);
+  indexed.indices = std::vector<std::size_t>{};
   EXPECT_THROW(executor.execute(indexed), exec::ExecError);
 }
 

@@ -165,15 +165,39 @@ TEST_F(JobServiceFixture, InvalidDocumentsAreRejectedAtAdmission) {
   EXPECT_NE(rejected.at("message").as_string().find("numsamples"),
             std::string::npos);
 
-  // A shard slice has no recovery story as a durable job: refused.
-  Json sharded = Json::object();
-  sharded.set("cmd", "submit");
-  sharded.set("doc", tiny_campaign_doc());
+  // Protocol v1's "shard" slice gets an error frame on every verb that
+  // computes, never a silently whole (or sliced) run.
   Json shard = Json::object();
   shard.set("index", 0);
   shard.set("count", 2);
-  sharded.set("shard", std::move(shard));
-  EXPECT_EQ(raw(sharded).final_event.at("event").as_string(), "error");
+  for (const std::string cmd : {"run", "sweep", "submit"}) {
+    Json sharded = Json::object();
+    sharded.set("cmd", cmd);
+    sharded.set("doc",
+                cmd == "run" ? tiny_scenario_doc() : tiny_campaign_doc());
+    sharded.set("shard", shard);
+    const serve::SubmitOutcome outcome = raw(sharded);
+    EXPECT_EQ(outcome.final_event.at("event").as_string(), "error") << cmd;
+    EXPECT_TRUE(outcome.results.empty()) << cmd;
+  }
+
+  // A job must cover a cell: an empty index list is refused, not read as
+  // the whole campaign.
+  Json empty = Json::object();
+  empty.set("cmd", "submit");
+  empty.set("doc", tiny_campaign_doc());
+  empty.set("indices", Json(util::JsonArray{}));
+  EXPECT_EQ(raw(empty).final_event.at("event").as_string(), "error");
+
+  // None of the refusals computed a cell or queued a job.
+  Json status_wire = Json::object();
+  status_wire.set("cmd", "status");
+  const Json status = raw(status_wire).final_event;
+  EXPECT_EQ(status.at("scenarios_run").as_uint(), 0u);
+  EXPECT_EQ(status.at("cache").at("puts").as_uint(), 0u);
+  Json jobs_wire = Json::object();
+  jobs_wire.set("cmd", "jobs");
+  EXPECT_TRUE(raw(jobs_wire).final_event.at("jobs").as_array().empty());
 
   // Unknown ids are structured errors naming the id.
   const Json unknown = job_status("deadbeef0000-00000000");
@@ -409,7 +433,7 @@ TEST(JobStoreTest, EnvelopesPersistAndInterruptedJobsRequeueOnLoad) {
     EXPECT_EQ(a.id.substr(0, 12), b.id.substr(0, 12));
     // An explicit selection changes what the job runs — and its hash.
     const jobs::JobRecord c =
-        store.create(doc, "scenario", "tiny", {0}, 1);
+        store.create(doc, "scenario", "tiny", std::vector<std::size_t>{0}, 1);
     EXPECT_NE(c.id.substr(0, 12), a.id.substr(0, 12));
   }
 

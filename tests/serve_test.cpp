@@ -215,6 +215,14 @@ TEST_F(ServerFixture, IndicesSweepRunsExactlyTheRequestedCells) {
   ASSERT_TRUE(full.ok());
   EXPECT_EQ(unit.results[1].dump(), full.results[1].dump());
 
+  // An empty list runs no cell; it never means the whole campaign.
+  wire.set("indices", Json(util::JsonArray{}));
+  const serve::SubmitOutcome none =
+      serve::submit_raw("127.0.0.1", server_->port(), wire);
+  ASSERT_TRUE(none.ok());
+  EXPECT_EQ(none.final_event.at("scenarios_run").as_uint(), 0u);
+  EXPECT_TRUE(none.results.empty());
+
   // Out-of-range and unsorted index lists are structured errors.
   wire.set("indices", Json(util::JsonArray{Json(7)}));
   EXPECT_FALSE(serve::submit_raw("127.0.0.1", server_->port(), wire).ok());
