@@ -20,11 +20,14 @@
 //   clktune fleet status               probe a daemon pool and render one
 //                                      health/metrics table
 //
-// Every command is a thin composition over the clktune::exec layer: build
-// an exec::Request from the document, pick an Executor (local for run and
-// sweep, remote for submit, fleet::FleetExecutor for fanout), attach an
-// exec::Observer for progress lines, and print the Outcome's artifact.
-// docs/exec_api.md describes the API; docs/fleet.md the fanout flow.
+// Every command that yields results is a thin composition over the
+// clktune::exec layer: build an exec::Request from the document, pick an
+// Executor (local for run and sweep, remote for submit, fleet::FleetExecutor
+// for fanout), attach an exec::Observer for progress lines, and print the
+// Outcome's artifact.  `job attach` is RemoteExecutor::attach with the same
+// observer and artifact, so submit, a detached job and sweep print the same
+// bytes for the same document and selection.  docs/exec_api.md describes
+// the API; docs/fleet.md the fanout flow.
 //
 // Common options:
 //   -o, --output <path>   write the JSON artifact here (default: stdout)
@@ -32,8 +35,8 @@
 //       --cache-dir <dir> content-addressed result cache (run/sweep/serve);
 //                         repeated invocations skip already-solved cells
 //       --shard <i/n>     sweep/submit: sugar for the index list i, i+n,
-//                         i+2n, ... (submit: sent as the daemon's
-//                         "indices" selection)
+//                         i+2n, ... (submit, also with --detach: sent as
+//                         the daemon's "indices" selection)
 //       --progress        run/sweep/submit: per-cell NDJSON progress
 //                         lines on stderr (replaces the human lines)
 //       --tolerance <y>   --diff: allowed tuned-yield drop (default 0.005)
@@ -489,10 +492,6 @@ std::unique_ptr<clktune::cache::ResultCache> make_cache(const Options& opt) {
   return std::make_unique<clktune::cache::ResultCache>(opt.cache_dir);
 }
 
-/// Progress printer shared by run / sweep / submit: human lines by
-/// default, machine-readable NDJSON with --progress, nothing with --quiet.
-/// Cells finish on worker threads; each line is a single stdio call, so
-/// lines never interleave.
 /// Kind-aware one-line cell summary for human progress output ("yield
 /// 61.20% -> 95.40%", "top-arc criticality ...", "12 bins ...").
 std::string cell_summary(const clktune::scenario::ScenarioResult& result) {
@@ -523,39 +522,10 @@ std::string cell_summary(const clktune::scenario::ScenarioResult& result) {
   return buf;
 }
 
-/// Same summary from a raw result artifact — the detached-attach path
-/// streams JSON frames and never materialises a ScenarioResult.
-std::string cell_summary(const Json& result) {
-  const Json* kind = result.find("kind");
-  const std::string k = kind != nullptr ? kind->as_string() : "yield";
-  char buf[160];
-  if (k == "criticality") {
-    const clktune::util::JsonArray& arcs =
-        result.at("criticality").at("arcs").as_array();
-    std::snprintf(buf, sizeof(buf),
-                  "top-arc criticality %.2f%% -> %.2f%% (%zu arcs ranked)",
-                  arcs.empty() ? 0.0
-                               : 100.0 * arcs.front().at("before").as_double(),
-                  arcs.empty() ? 0.0
-                               : 100.0 * arcs.front().at("after").as_double(),
-                  arcs.size());
-  } else if (k == "binning") {
-    const Json& binning = result.at("binning");
-    std::snprintf(buf, sizeof(buf),
-                  "%zu bins  sell T=%.1f ps  unsellable %.2f%%",
-                  binning.at("bins").as_array().size(),
-                  binning.at("expected_sell_period_ps").as_double(),
-                  100.0 * binning.at("unsellable_fraction").as_double());
-  } else {
-    std::snprintf(buf, sizeof(buf), "yield %.2f%% -> %.2f%%",
-                  100.0 * result.at("yield").at("original").at("yield")
-                              .as_double(),
-                  100.0 * result.at("yield").at("tuned").at("yield")
-                              .as_double());
-  }
-  return buf;
-}
-
+/// Progress printer shared by run / sweep / submit / fanout / job attach:
+/// human lines by default, machine-readable NDJSON with --progress,
+/// nothing with --quiet.  Cells finish on worker threads; each line is a
+/// single stdio call, so lines never interleave.
 class CliObserver : public clktune::exec::Observer {
  public:
   explicit CliObserver(const Options& opt) : opt_(opt) {}
@@ -683,18 +653,21 @@ std::uint16_t submit_port(const Options& opt) {
 /// `submit --detach`: enqueue the document as a durable async job and
 /// return immediately with its descriptor — admission is O(enqueue) on the
 /// daemon, no cell is computed before this prints.  The id feeds
-/// `clktune job status|attach|cancel`.
+/// `clktune job status|attach|cancel`; with --shard the job runs the index
+/// list and its job frame records the selection, so `job attach` writes
+/// the partial summary `sweep --shard` would.
 int cmd_submit_detached(const Options& opt, const Json& doc) {
-  if (opt.shard_count > 1) {
-    // `clktune job attach` rebuilds a summary from the job's status frame,
-    // which carries no index list, so a sliced job could not be merged
-    // back; the combination is refused.
-    std::fprintf(stderr, "clktune: --detach does not combine with --shard\n");
-    return 1;
-  }
   Json wire = Json::object();
   wire.set("cmd", "submit");
   wire.set("doc", doc);
+  if (opt.shard_count > 1) {
+    clktune::exec::Request request = clktune::exec::Request::from_json(doc);
+    apply_shard(opt, request);
+    Json indices = Json::array();
+    for (const std::size_t index : *request.indices)
+      indices.push_back(static_cast<std::uint64_t>(index));
+    wire.set("indices", std::move(indices));
+  }
   const clktune::serve::SubmitOutcome outcome = clktune::serve::submit_raw(
       opt.host, submit_port(opt), wire, {}, submit_timeouts(opt));
   const Json* event = outcome.final_event.find("event");
@@ -713,30 +686,20 @@ int cmd_submit_detached(const Options& opt, const Json& doc) {
   return 0;
 }
 
+/// `clktune submit`: the daemon runs the document (an index list with
+/// --shard) and this prints exactly what `clktune run` / `sweep` print for
+/// it, so N `submit --shard i/N` invocations against N daemons merge with
+/// `report --merge` like `sweep --shard` outputs.
 int cmd_submit(const Options& opt) {
   const Json doc = clktune::util::read_json_file(opt.inputs[0]);
   if (opt.detach) return cmd_submit_detached(opt, doc);
   clktune::exec::Request request = clktune::exec::Request::from_json(doc);
-  // The daemon runs the index list server-side, so N submit --shard i/N
-  // invocations against N daemons fan one campaign out across hosts.
   apply_shard(opt, request);
   clktune::exec::RemoteExecutor executor(opt.host, submit_port(opt),
                                          submit_timeouts(opt));
   CliObserver observer(opt);
   const clktune::exec::Outcome outcome = executor.execute(request, &observer);
-
-  // A scenario document prints exactly the artifact `clktune run` would; a
-  // campaign document prints the artifact array in expansion order (even
-  // when the sweep expands to a single cell).
-  if (request.kind == clktune::exec::Request::Kind::campaign) {
-    Json array = Json::array();
-    for (const clktune::scenario::ScenarioResult& result :
-         outcome.summary.results)
-      array.push_back(result.to_json());
-    emit(opt, array);
-  } else {
-    emit(opt, outcome.result.to_json());
-  }
+  emit(opt, outcome.artifact());
   return outcome.ok() ? 0 : 3;
 }
 
@@ -801,77 +764,18 @@ int emit_job_frame(const Options& opt,
 }
 
 /// `clktune job attach <id>`: stream the job's result frames — replayed
-/// for finished cells, live otherwise — and rebuild the synchronous
-/// artifact from them.  A done scenario job prints exactly what
-/// `clktune run` would; a done campaign job exactly what `clktune sweep`
-/// would (the byte-identity contract that makes a detached submit a
-/// drop-in for the blocking commands).
+/// for finished cells, live otherwise — and print the artifact.  A done
+/// scenario job prints exactly what `clktune run` would; a done campaign
+/// job exactly what `clktune sweep` would, with `--shard` when it was
+/// submitted with one (the byte-identity contract that makes a detached
+/// submit a drop-in for the blocking commands).
 int cmd_job_attach(const Options& opt, const std::string& id) {
-  // A status round trip first: attach streams bare result frames, so the
-  // job's kind and name (needed to rebuild a campaign summary) come from
-  // the lifecycle frame.
-  Json status_wire = Json::object();
-  status_wire.set("cmd", "status");
-  status_wire.set("id", id);
-  const clktune::serve::SubmitOutcome status = clktune::serve::submit_raw(
-      opt.host, submit_port(opt), status_wire, {}, submit_timeouts(opt));
-  const Json* event = status.final_event.find("event");
-  if (event == nullptr || event->as_string() != "job")
-    return emit_job_frame(opt, status);
-  const std::string kind = status.final_event.at("kind").as_string();
-  const std::string name = status.final_event.at("name").as_string();
-  const std::size_t total =
-      static_cast<std::size_t>(status.final_event.at("cells_total").as_uint());
-
-  std::size_t streamed = 0;
-  const auto progress = [&](const Json& frame) {
-    if (frame.at("event").as_string() != "result" || opt.quiet) return;
-    const Json& result = frame.at("result");
-    if (opt.progress) {
-      Json line = Json::object();
-      line.set("event", "cell");
-      line.set("index", frame.at("index").as_uint());
-      line.set("name", result.at("name").as_string());
-      line.set("cached", frame.at("cached").as_bool());
-      const std::string text = line.dump(-1) + "\n";
-      std::fputs(text.c_str(), stderr);
-      return;
-    }
-    std::fprintf(stderr, "clktune: [%zu/%zu] %s  %s%s\n", ++streamed, total,
-                 result.at("name").as_string().c_str(),
-                 cell_summary(result).c_str(),
-                 frame.at("cached").as_bool() ? "  (cached)" : "");
-  };
-  Json attach_wire = Json::object();
-  attach_wire.set("cmd", "attach");
-  attach_wire.set("id", id);
-  const clktune::serve::SubmitOutcome stream =
-      clktune::serve::submit_raw(opt.host, submit_port(opt), attach_wire,
-                                 progress, submit_timeouts(opt));
-
-  if (!stream.ok()) {
-    const Json* message = stream.final_event.find("message");
-    std::fprintf(stderr, "clktune: %s\n",
-                 message != nullptr ? message->as_string().c_str()
-                                    : "connection closed mid-stream");
-    return 2;
-  }
-  if (kind == "campaign") {
-    clktune::scenario::CampaignSummary summary;
-    summary.name = name;
-    // Null slots appear only for jobs submitted with an explicit index
-    // selection (the fleet's work units); the kept cells stay in
-    // expansion order, like any partial summary.
-    for (const Json& artifact : stream.results)
-      if (artifact.is_object())
-        summary.results.push_back(
-            clktune::scenario::ScenarioResult::from_json(artifact));
-    summary.recount();
-    emit(opt, summary.to_json(false));
-  } else {
-    emit(opt, stream.results.at(0));
-  }
-  return stream.targets_missed() == 0 ? 0 : 3;
+  clktune::exec::RemoteExecutor executor(opt.host, submit_port(opt),
+                                         submit_timeouts(opt));
+  CliObserver observer(opt);
+  const clktune::exec::Outcome outcome = executor.attach(id, &observer);
+  emit(opt, outcome.artifact());
+  return outcome.ok() ? 0 : 3;
 }
 
 /// `clktune job <verb>` — the client side of the async job service.

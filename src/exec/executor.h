@@ -12,8 +12,9 @@
 // All backends produce byte-identical artifacts for the same request: the
 // Outcome is a pure function of the resolved document (plus the index
 // selection), never of the backend that computed it.  That invariant is
-// what makes the composition safe — a fleet of RemoteExecutor-style units
-// merges to the summary a single local run writes.
+// what makes the composition safe — a fleet's index-list units, or the
+// outputs of `submit --shard i/n` against n daemons, merge to the summary
+// a single local run writes.
 #pragma once
 
 #include <string>

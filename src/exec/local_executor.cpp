@@ -39,35 +39,6 @@ struct CellMetrics {
   }
 };
 
-/// Fetches one cell: cache lookup by content key, else a fresh engine run
-/// whose result is stored back.  `threads` caps the cell's inner loops.
-scenario::ScenarioResult run_cell(const scenario::ScenarioSpec& spec,
-                                  cache::ResultCache* cache, int threads,
-                                  bool& cached) {
-  if (cache != nullptr) {
-    const std::string key = cache::scenario_cache_key(spec);
-    if (std::optional<Json> artifact = cache->get(key)) {
-      cached = true;
-      CellMetrics::get().cached.inc();
-      return scenario::ScenarioResult::from_json(*artifact);
-    }
-    scenario::ScenarioResult result = scenario::run_scenario(spec, threads);
-    cache->put(key, result.to_json());
-    cached = false;
-    CellMetrics::get().computed.inc();
-    CellMetrics::get().cell_seconds.record(
-        static_cast<std::uint64_t>(result.seconds * 1e9));
-    return result;
-  }
-  cached = false;
-  CellMetrics& metrics = CellMetrics::get();
-  scenario::ScenarioResult result = scenario::run_scenario(spec, threads);
-  metrics.computed.inc();
-  metrics.cell_seconds.record(
-      static_cast<std::uint64_t>(result.seconds * 1e9));
-  return result;
-}
-
 void notify(Observer* observer, std::size_t index,
             const scenario::ScenarioResult& result, bool cached) {
   if (observer == nullptr) return;
@@ -82,20 +53,14 @@ Outcome execute_scenario(const Request& request, Observer* observer) {
     if (observer->cancelled())
       throw CancelledError("exec: cancelled before the scenario started");
   }
-  Outcome outcome;
-  outcome.kind = Request::Kind::scenario;
   bool cached = false;
+  scenario::ScenarioResult result;
   {
     const obs::TraceSpan span("cell:" + request.scenario.name);
-    outcome.result =
-        run_cell(request.scenario, request.cache, request.threads, cached);
+    result = run_cell(request.scenario, request.cache, request.threads, cached);
   }
-  notify(observer, 0, outcome.result, cached);
-  outcome.scenarios_run = 1;
-  outcome.scenarios_cached = cached ? 1 : 0;
-  outcome.targets_missed = outcome.result.met_target ? 0 : 1;
-  outcome.seconds = timer.seconds();
-  return outcome;
+  notify(observer, 0, result, cached);
+  return Outcome::from_result(std::move(result), cached, {}, timer.seconds());
 }
 
 Outcome execute_campaign(const Request& request, Observer* observer) {
@@ -160,6 +125,28 @@ Outcome execute_campaign(const Request& request, Observer* observer) {
 }
 
 }  // namespace
+
+scenario::ScenarioResult run_cell(const scenario::ScenarioSpec& spec,
+                                  cache::ResultCache* cache, int threads,
+                                  bool& cached) {
+  CellMetrics& metrics = CellMetrics::get();
+  std::string key;
+  if (cache != nullptr) {
+    key = cache::scenario_cache_key(spec);
+    if (std::optional<Json> artifact = cache->get(key)) {
+      cached = true;
+      metrics.cached.inc();
+      return scenario::ScenarioResult::from_json(*artifact);
+    }
+  }
+  cached = false;
+  scenario::ScenarioResult result = scenario::run_scenario(spec, threads);
+  if (cache != nullptr) cache->put(key, result.to_json());
+  metrics.computed.inc();
+  metrics.cell_seconds.record(
+      static_cast<std::uint64_t>(result.seconds * 1e9));
+  return result;
+}
 
 Outcome LocalExecutor::execute(const Request& request, Observer* observer) {
   request.validate();

@@ -6,6 +6,17 @@
 
 namespace clktune::exec {
 
+/// Fetches one cell: a cache lookup by content key, else a fresh engine
+/// run (inner loops capped at `threads`) whose result is stored back.
+/// Sets `cached` to the provenance and counts the cell in
+/// clktune_exec_cells_{computed,cached}_total.  The one cell path of the
+/// process: LocalExecutor runs every cell through it (the daemon's
+/// run/sweep verbs and job workers included), and so does a job attach
+/// that replays a finished cell.
+scenario::ScenarioResult run_cell(const scenario::ScenarioSpec& spec,
+                                  cache::ResultCache* cache, int threads,
+                                  bool& cached);
+
 /// Runs requests in this process.  A scenario request is one engine run
 /// (inner loops use the request's thread budget); a campaign request
 /// expands the sweep, runs the request's selection of it concurrently —

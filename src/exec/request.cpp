@@ -76,4 +76,17 @@ Outcome Outcome::from_summary(scenario::CampaignSummary summary,
   return outcome;
 }
 
+Outcome Outcome::from_result(scenario::ScenarioResult result, bool cached,
+                             std::string backend, double seconds) {
+  Outcome outcome;
+  outcome.kind = Request::Kind::scenario;
+  outcome.backend = std::move(backend);
+  outcome.scenarios_run = 1;
+  outcome.scenarios_cached = cached ? 1 : 0;
+  outcome.targets_missed = result.met_target ? 0 : 1;
+  outcome.seconds = seconds;
+  outcome.result = std::move(result);
+  return outcome;
+}
+
 }  // namespace clktune::exec

@@ -110,6 +110,11 @@ struct Outcome {
   /// backends and forgotten in others.
   static Outcome from_summary(scenario::CampaignSummary summary,
                               std::string backend);
+
+  /// from_summary's twin for a scenario outcome: its one cell, where the
+  /// cell came from, and the wall clock of the whole request.
+  static Outcome from_result(scenario::ScenarioResult result, bool cached,
+                             std::string backend, double seconds);
 };
 
 }  // namespace clktune::exec

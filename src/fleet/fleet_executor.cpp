@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "exec/remote_executor.h"
 #include "fault/fault.h"
 #include "obs/metrics.h"
 #include "serve/client.h"
@@ -137,11 +136,13 @@ bool probe_member(const FleetMember& member, const FleetOptions& options,
   return false;
 }
 
-/// One campaign's shared dispatch state: the work queue, the recorded
+/// One request's shared dispatch state: the work queue, the recorded
 /// cells, the liveness of every pool member and the terminal flags.  The
 /// per-daemon dispatcher threads all drain the same queue — that is the
 /// whole work-stealing scheme.  An optional monitor thread re-probes
-/// retired members and spawns fresh dispatchers when one rejoins.
+/// retired members and spawns fresh dispatchers when one rejoins.  A
+/// scenario is a campaign of one cell: a single unit, submitted without an
+/// index list, with the same busy, requeue and re-probe handling.
 class CampaignDispatch {
  public:
   CampaignDispatch(const FleetSpec& spec, const FleetOptions& options,
@@ -162,7 +163,7 @@ class CampaignDispatch {
     initial_alive_ = alive_members_;
   }
 
-  scenario::CampaignSummary run() {
+  exec::Outcome run(const std::string& backend, const util::Stopwatch& timer) {
     if (observer_ != nullptr) observer_->on_begin(total_cells_, total_cells_);
 
     const std::size_t unit_cells =
@@ -205,18 +206,24 @@ class CampaignDispatch {
       throw CancelledError("fleet: campaign cancelled by the observer");
     if (failed_) throw ExecError(failure_);
 
-    scenario::CampaignSummary summary;
-    summary.name = request_.campaign.name;
-    summary.results.reserve(total_cells_);
-    for (std::size_t i = 0; i < total_cells_; ++i) {
+    for (std::size_t i = 0; i < total_cells_; ++i)
       if (cells_[i].result == nullptr)
         throw ExecError("fleet: internal error: cell " + std::to_string(i) +
                         " never arrived");
-      summary.scenarios_cached += cells_[i].cached ? 1 : 0;
-      summary.results.push_back(std::move(*cells_[i].result));
+    if (request_.kind == exec::Request::Kind::scenario)
+      return exec::Outcome::from_result(std::move(*cells_[0].result),
+                                        cells_[0].cached, backend,
+                                        timer.seconds());
+    scenario::CampaignSummary summary;
+    summary.name = request_.campaign.name;
+    summary.results.reserve(total_cells_);
+    for (CellSlot& cell : cells_) {
+      summary.scenarios_cached += cell.cached ? 1 : 0;
+      summary.results.push_back(std::move(*cell.result));
     }
     summary.recount();
-    return summary;
+    summary.total_seconds = timer.seconds();
+    return exec::Outcome::from_summary(std::move(summary), backend);
   }
 
  private:
@@ -327,10 +334,10 @@ class CampaignDispatch {
   /// cancelled).  The unit travels through the daemon's durable job
   /// queue: submit (O(enqueue) admission, or reuse the job a previous
   /// attempt created), then attach and stream.  Speaking the wire
-  /// protocol directly — rather than wrapping exec::RemoteExecutor —
-  /// keeps the cells a dying daemon streamed before the failure
-  /// (RemoteExecutor's contract is all-or-nothing) and the busy/dead
-  /// distinction of the terminal frame's "code".
+  /// protocol directly — rather than through an all-or-nothing
+  /// exec::Executor — keeps the cells a dying daemon streamed before the
+  /// failure and the busy/dead distinction of the terminal frame's
+  /// "code".
   bool dispatch_unit(std::size_t member_id, WorkUnit unit) {
     const FleetMember& member = spec_.members[member_id];
     // Crash point: the dispatching client process dying mid-campaign —
@@ -350,10 +357,12 @@ class CampaignDispatch {
         Json wire = Json::object();
         wire.set("cmd", "submit");
         wire.set("doc", document_);
-        Json indices = Json::array();
-        for (const std::size_t index : unit.remaining)
-          indices.push_back(static_cast<std::uint64_t>(index));
-        wire.set("indices", std::move(indices));
+        if (request_.kind == exec::Request::Kind::campaign) {
+          Json indices = Json::array();
+          for (const std::size_t index : unit.remaining)
+            indices.push_back(static_cast<std::uint64_t>(index));
+          wire.set("indices", std::move(indices));
+        }
         const serve::SubmitOutcome admitted =
             serve::submit_raw(member.host, member.port, wire, {},
                               bounded_timeouts_of(options_));
@@ -569,33 +578,6 @@ class CampaignDispatch {
   std::string failure_;
 };
 
-/// Scenario failover: suppresses the child RemoteExecutor's own on_begin
-/// (the fleet already announced the run) and deduplicates on_cell across
-/// retry attempts, so the caller's observer sees the contract events
-/// exactly once.
-class OnceObserver : public exec::Observer {
- public:
-  explicit OnceObserver(exec::Observer* target) : target_(target) {}
-
-  void on_begin(std::size_t, std::size_t) override {}
-  void on_cell(const exec::CellEvent& event) override {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (cell_seen_) return;
-      cell_seen_ = true;
-    }
-    if (target_ != nullptr) target_->on_cell(event);
-  }
-  bool cancelled() override {
-    return target_ != nullptr && target_->cancelled();
-  }
-
- private:
-  exec::Observer* target_;
-  std::mutex mutex_;
-  bool cell_seen_ = false;
-};
-
 }  // namespace
 
 FleetExecutor::FleetExecutor(FleetSpec spec, FleetOptions options)
@@ -655,49 +637,10 @@ exec::Outcome FleetExecutor::execute(const exec::Request& request,
     throw ExecError(what);
   }
 
-  if (request.kind == exec::Request::Kind::scenario) {
-    if (observer != nullptr) {
-      observer->on_begin(1, 1);
-      if (observer->cancelled())
-        throw CancelledError("fleet: cancelled before the scenario started");
-    }
-    OnceObserver once(observer);
-    std::string diagnostics;
-    for (std::size_t attempt = 0; attempt <= options_.max_retries;
-         ++attempt) {
-      const FleetMember& member =
-          spec_.members[healthy[attempt % healthy.size()]];
-      exec::RemoteExecutor remote(member.host, member.port,
-                                  timeouts_of(options_));
-      try {
-        exec::Outcome outcome = remote.execute(request, &once);
-        outcome.backend = name();
-        outcome.seconds = timer.seconds();
-        return outcome;
-      } catch (const CancelledError&) {
-        throw;
-      } catch (const std::exception& e) {
-        diagnostics += (diagnostics.empty() ? "" : " | ");
-        diagnostics += e.what();
-      }
-      // Jittered exponential pause between failover attempts (capped): a
-      // briefly busy pool must not burn the whole budget within
-      // milliseconds, and concurrent clients should not retry in step.
-      if (attempt < options_.max_retries) {
-        thread_local util::Backoff backoff(20, 500);
-        backoff.pause(attempt);
-      }
-    }
-    throw ExecError("fleet: scenario failed on every attempt: " +
-                    diagnostics);
-  }
-
   std::vector<char> alive(spec_.members.size(), 0);
   for (const std::size_t m : healthy) alive[m] = 1;
   CampaignDispatch dispatch(spec_, options_, alive, request, observer);
-  scenario::CampaignSummary summary = dispatch.run();
-  summary.total_seconds = timer.seconds();
-  return exec::Outcome::from_summary(std::move(summary), name());
+  return dispatch.run(name(), timer);
 }
 
 }  // namespace clktune::fleet

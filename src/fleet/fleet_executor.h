@@ -14,7 +14,10 @@
 // then attaches to stream its cells.  Admission is O(enqueue) on the
 // daemon, and because the job outlives the connection, a dispatcher that
 // loses its stream mid-unit re-attaches to the *same* job on retry —
-// cells the daemon kept computing replay instantly from its cache.
+// cells the daemon kept computing replay instantly from its cache.  A
+// scenario request is one unit of one cell, submitted without the list,
+// so it shares the campaign path's queue and fault model below; like
+// every unit it leaves a job on the daemon that ran it.
 //
 // Fault tolerance: when a daemon dies, times out or rejects with
 // backpressure mid-unit, the cells it already streamed are kept (they are
@@ -68,7 +71,7 @@ struct FleetOptions {
 
 /// exec::Executor backend that fans a request out over a daemon pool.
 /// Campaigns are dispatched work-stealing style as described above; a
-/// scenario request is a single unit, failed over across the pool.  The
+/// scenario request is a single one-cell unit on the same queue.  The
 /// request's cache pointer is ignored — each daemon owns its own cache.
 class FleetExecutor : public exec::Executor {
  public:

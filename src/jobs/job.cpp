@@ -1,5 +1,7 @@
 #include "jobs/job.h"
 
+#include "scenario/campaign.h"
+
 namespace clktune::jobs {
 
 using util::Json;
@@ -110,6 +112,17 @@ util::Json JobRecord::status_json() const {
   j.set("state", to_string(state));
   j.set("kind", kind);
   j.set("name", name);
+  if (indices) {
+    // A document that no longer parses (a hand-edited envelope) cannot run
+    // either; its frame goes without the record rather than failing every
+    // `jobs` listing it is in.
+    try {
+      const scenario::CampaignSummary::Selection selection{
+          scenario::CampaignSpec::from_json(doc).expansion_size(), *indices};
+      j.set("selection", selection.to_json());
+    } catch (const util::JsonError&) {
+    }
+  }
   j.set("cells_total", static_cast<std::uint64_t>(cells_total));
   j.set("cells_done", static_cast<std::uint64_t>(done_indices.size()));
   j.set("cached", cached);
@@ -118,6 +131,15 @@ util::Json JobRecord::status_json() const {
   j.set("created_ms", created_ms);
   j.set("updated_ms", updated_ms);
   return j;
+}
+
+Json result_frame(std::size_t index, bool cached, Json artifact) {
+  Json frame = Json::object();
+  frame.set("event", "result");
+  frame.set("index", static_cast<std::uint64_t>(index));
+  frame.set("cached", cached);
+  frame.set("result", std::move(artifact));
+  return frame;
 }
 
 }  // namespace clktune::jobs

@@ -90,8 +90,16 @@ struct JobRecord {
   static JobRecord from_json(const util::Json& j);
 
   /// The wire "job" frame of the serve protocol (docs/serve_protocol.md):
-  /// identity + lifecycle + progress, never the document or the cells.
+  /// identity + lifecycle + progress, never the document or the cells.  A
+  /// job with an index list also carries
+  /// "selection":{"of":N,"indices":[...]}, N from its document, so a
+  /// client can rebuild the partial summary its cells make.
   util::Json status_json() const;
 };
+
+/// The wire "result" frame of one finished cell — the one builder of the
+/// synchronous run/sweep stream and the attach stream, so the two cannot
+/// drift.
+util::Json result_frame(std::size_t index, bool cached, util::Json artifact);
 
 }  // namespace clktune::jobs

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <utility>
 
-#include "cache/result_cache.h"
 #include "exec/local_executor.h"
 #include "exec/observer.h"
 #include "exec/request.h"
@@ -71,18 +70,6 @@ class CallbackObserver : public exec::Observer {
   std::function<void(const exec::CellEvent&)> on_cell_;
   std::function<bool()> cancelled_;
 };
-
-/// The wire "result" frame — member order matches the serve layer's
-/// result_event, so job streams are byte-compatible with run/sweep
-/// streams.
-Json result_frame(std::size_t index, bool cached, Json artifact) {
-  Json frame = Json::object();
-  frame.set("event", "result");
-  frame.set("index", static_cast<std::uint64_t>(index));
-  frame.set("cached", cached);
-  frame.set("result", std::move(artifact));
-  return frame;
-}
 
 /// The scenario specs a job's cells run, indexed by global expansion
 /// index (a scenario job is its own single cell).
@@ -466,30 +453,22 @@ JobRecord JobScheduler::attach(
   }
   JobRecord rec = *snapshot;
 
-  // Replay the checkpointed cells from the content-addressed cache.  The
-  // artifacts are pure functions of the document, so a cache miss (e.g. a
-  // memory-only daemon restarted) recomputes the exact same bytes — the
+  // Replay the checkpointed cells through the exec cell path, the one the
+  // worker ran them on: a cache hit is the stored artifact, and a miss
+  // (e.g. a memory-only daemon restarted, or its LRU evicted the cell)
+  // recomputes the exact same bytes, counted like any computed cell — the
   // replayed stream is indistinguishable from the live one.
   std::vector<scenario::ScenarioSpec> specs;
   if (!rec.done_indices.empty()) specs = specs_of(rec);
   std::set<std::size_t> sent;
   for (const std::size_t index : rec.done_indices) {
-    const scenario::ScenarioSpec& spec =
-        rec.kind == "campaign" ? specs.at(index) : specs.at(0);
-    const std::string key = cache::scenario_cache_key(spec);
-    Json artifact;
-    bool cached = true;
-    if (std::optional<Json> hit = cache_->get(key)) {
-      artifact = std::move(*hit);
-    } else {
-      const scenario::ScenarioResult result = scenario::run_scenario(
-          spec, rec.kind == "campaign" ? 1 : options_.threads);
-      artifact = result.to_json();
-      cache_->put(key, artifact);
-      cached = false;
-    }
+    const bool campaign = rec.kind == "campaign";
+    bool cached = false;
+    const scenario::ScenarioResult result =
+        exec::run_cell(campaign ? specs.at(index) : specs.at(0), cache_,
+                       campaign ? 1 : options_.threads, cached);
     sent.insert(index);
-    if (!sink(result_frame(index, cached, std::move(artifact)))) {
+    if (!sink(result_frame(index, cached, result.to_json()))) {
       if (sub != nullptr) remove_subscriber(id, sub);
       return rec;
     }

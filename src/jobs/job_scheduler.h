@@ -9,11 +9,12 @@
 // admission path the serve daemon exposes as the `submit` verb.
 //
 // attach() is the read side and the replay guarantee: for cells that
-// already finished it re-derives each artifact from the content-addressed
-// result cache (recomputing deterministically on a cache miss), for cells
-// still running it subscribes to the live broadcast — so an attach stream
-// is byte-identical to the synchronous run/sweep stream no matter when
-// the client connects, including after a daemon restart.
+// already finished it re-derives each artifact through exec::run_cell,
+// the cell path the worker used (a cache hit, or a deterministic
+// recomputation on a miss), for cells still running it subscribes to the
+// live broadcast — so an attach stream is byte-identical to the
+// synchronous run/sweep stream no matter when the client connects,
+// including after a daemon restart.
 //
 // Shutdown is cooperative and *non-terminal*: stop() asks running jobs to
 // stop via the observer's cancelled() poll, but deliberately does not

@@ -171,18 +171,36 @@ std::vector<ScenarioSpec> CampaignSpec::expand() const {
   return scenarios;
 }
 
+Json CampaignSummary::Selection::to_json() const {
+  Json list = Json::array();
+  for (const std::size_t index : indices)
+    list.push_back(static_cast<std::uint64_t>(index));
+  Json j = Json::object();
+  j.set("of", static_cast<std::uint64_t>(of));
+  j.set("indices", std::move(list));
+  return j;
+}
+
+CampaignSummary::Selection CampaignSummary::Selection::from_json(
+    const Json& j) {
+  Selection selection;
+  selection.of = static_cast<std::size_t>(j.at("of").as_uint());
+  for (const Json& index : j.at("indices").as_array()) {
+    const std::size_t value = static_cast<std::size_t>(index.as_uint());
+    if (value >= selection.of)
+      throw JsonError("selection index " + std::to_string(value) +
+                      " is not below of = " + std::to_string(selection.of));
+    if (!selection.indices.empty() && value <= selection.indices.back())
+      throw JsonError("selection indices must be strictly increasing");
+    selection.indices.push_back(value);
+  }
+  return selection;
+}
+
 Json CampaignSummary::to_json(bool include_timing) const {
   Json j = Json::object();
   j.set("name", name);
-  if (selection) {
-    Json indices = Json::array();
-    for (const std::size_t index : selection->indices)
-      indices.push_back(static_cast<std::uint64_t>(index));
-    Json selected = Json::object();
-    selected.set("of", static_cast<std::uint64_t>(selection->of));
-    selected.set("indices", std::move(indices));
-    j.set("selection", std::move(selected));
-  }
+  if (selection) j.set("selection", selection->to_json());
   j.set("scenarios_run", scenarios_run);
   j.set("targets_missed", targets_missed);
 
@@ -216,24 +234,12 @@ CampaignSummary CampaignSummary::from_json(const Json& j) {
   for (const Json& r : j.at("results").as_array())
     summary.results.push_back(ScenarioResult::from_json(r));
   if (const Json* selected = j.find("selection")) {
-    Selection selection;
-    selection.of = static_cast<std::size_t>(selected->at("of").as_uint());
-    for (const Json& index : selected->at("indices").as_array())
-      selection.indices.push_back(static_cast<std::size_t>(index.as_uint()));
-    const std::vector<std::size_t>& list = selection.indices;
-    if (list.size() != summary.results.size())
+    Selection selection = Selection::from_json(*selected);
+    if (selection.indices.size() != summary.results.size())
       throw JsonError("summary: selection lists " +
-                      std::to_string(list.size()) + " indices for " +
+                      std::to_string(selection.indices.size()) +
+                      " indices for " +
                       std::to_string(summary.results.size()) + " results");
-    for (std::size_t k = 0; k < list.size(); ++k) {
-      if (list[k] >= selection.of)
-        throw JsonError("summary: selection index " +
-                        std::to_string(list[k]) + " is not below of = " +
-                        std::to_string(selection.of));
-      if (k > 0 && list[k] <= list[k - 1])
-        throw JsonError(
-            "summary: selection indices must be strictly increasing");
-    }
     summary.selection = std::move(selection);
   }
   // The counters are recomputed rather than trusted, so a hand-edited

@@ -69,6 +69,13 @@ struct CampaignSummary {
   struct Selection {
     std::size_t of = 0;
     std::vector<std::size_t> indices;
+
+    /// {"of":N,"indices":[...]} — the record a partial summary and a job
+    /// frame carry.
+    util::Json to_json() const;
+    /// Throws util::JsonError unless the indices are strictly increasing
+    /// and below `of`.
+    static Selection from_json(const util::Json& j);
   };
 
   std::string name;

@@ -1,5 +1,6 @@
 #include "serve/client.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/socket.h"
@@ -30,6 +31,8 @@ SubmitOutcome submit_raw(const std::string& host, std::uint16_t port,
   util::tcp_write_all(connection, request.dump(-1) + "\n");
 
   SubmitOutcome outcome;
+  // (index, artifact) in arrival order; nothing is sized by a wire index.
+  std::vector<std::pair<std::uint64_t, Json>> streamed;
   util::LineReader reader(connection);
   std::string line;
   while (reader.read_line(line)) {
@@ -38,15 +41,19 @@ SubmitOutcome submit_raw(const std::string& host, std::uint16_t port,
     if (on_event) on_event(event);
     const std::string kind = event.at("event").as_string();
     if (kind == "result") {
-      const std::size_t index = event.at("index").as_uint();
-      if (outcome.results.size() <= index) outcome.results.resize(index + 1);
       outcome.cached += event.at("cached").as_bool() ? 1 : 0;
-      outcome.results[index] = event.at("result");
+      streamed.emplace_back(event.at("index").as_uint(), event.at("result"));
       continue;
     }
     outcome.final_event = std::move(event);
     break;  // done / status / error terminates the exchange
   }
+  std::stable_sort(
+      streamed.begin(), streamed.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  outcome.results.reserve(streamed.size());
+  for (auto& [index, artifact] : streamed)
+    outcome.results.push_back(std::move(artifact));
   return outcome;
 }
 

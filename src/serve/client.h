@@ -1,6 +1,10 @@
 // Client side of the serve protocol: connect, send one request line, stream
-// response events until "done" / "status" / "error" (or EOF).  Used by
-// `clktune submit`, the end-to-end tests and the serve_roundtrip example.
+// response events until "done" / "status" / "error" (or EOF).  The layer
+// under exec::RemoteExecutor (which `clktune submit` and `job attach` go
+// through) and fleet::FleetExecutor; also used by the CLI's job, metrics
+// and drain verbs, the end-to-end tests and the serve_roundtrip example.
+// It reorders result frames and nothing more: checking them against the
+// selection a client asked for is the executors' job.
 #pragma once
 
 #include <cstdint>
@@ -13,8 +17,9 @@
 namespace clktune::serve {
 
 struct SubmitOutcome {
-  /// "result" events' artifacts, reordered by expansion index (so a sweep
-  /// submission yields the same ordering as the local summary).
+  /// "result" events' artifacts, one per frame, in ascending index order
+  /// (so a sweep submission yields the same ordering as the local
+  /// summary); an index selection leaves no gaps.
   std::vector<util::Json> results;
   /// How many of the results were served from the daemon's cache.
   std::uint64_t cached = 0;

@@ -86,15 +86,6 @@ void send_error(const util::TcpSocket& connection, const std::string& what,
   send_event(connection, event);
 }
 
-Json result_event(std::size_t index, bool cached, const Json& artifact) {
-  Json event = Json::object();
-  event.set("event", "result");
-  event.set("index", static_cast<std::uint64_t>(index));
-  event.set("cached", cached);
-  event.set("result", artifact);
-  return event;
-}
-
 Json done_event(std::uint64_t scenarios_run, std::uint64_t targets_missed,
                 std::uint64_t cached) {
   Json event = Json::object();
@@ -131,9 +122,8 @@ class StreamObserver : public exec::Observer {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (peer_gone_) return;
     try {
-      send_event(connection_,
-                 result_event(event.index, event.cached,
-                              event.result.to_json()));
+      send_event(connection_, jobs::result_frame(event.index, event.cached,
+                                                 event.result.to_json()));
     } catch (const std::exception&) {
       peer_gone_ = true;
     }

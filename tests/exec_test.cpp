@@ -1,10 +1,11 @@
 // Execution-layer tests.  The load-bearing property is backend
 // equivalence: the same request must produce byte-identical artifacts
 // through LocalExecutor and RemoteExecutor (a real loopback daemon), with
-// or without an index selection — that is what makes the backends
-// composable.  Also covered: the merge of partial summaries (the
-// `report --merge` path), CampaignSummary round trips and selection
-// checks, observer streaming and cooperative cancellation.
+// or without an index selection, and RemoteExecutor::attach of a detached
+// job must give what execute gives for the job's request — that is what
+// makes the backends composable.  Also covered: the merge of partial
+// summaries (the `report --merge` path), CampaignSummary round trips and
+// selection checks, observer streaming and cooperative cancellation.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -24,6 +25,7 @@
 #include "exec/request.h"
 #include "scenario/campaign.h"
 #include "scenario/scenario.h"
+#include "serve/client.h"
 #include "serve/server.h"
 #include "util/json.h"
 
@@ -51,6 +53,15 @@ Json tiny_campaign_doc() {
   sweep.set("clock.sigma_offset",
             Json(util::JsonArray{Json(0.0), Json(1.0)}));
   doc.set("sweep", std::move(sweep));
+  return doc;
+}
+
+/// Four cells, so a job can select a non-contiguous half.
+Json four_cell_campaign_doc() {
+  Json doc = tiny_campaign_doc();
+  doc.set("name", "four_cells");
+  doc.find("sweep")->set("insertion.num_samples",
+                         Json(util::JsonArray{Json(150), Json(200)}));
   return doc;
 }
 
@@ -130,6 +141,18 @@ class ExecServerFixture : public ::testing::Test {
   void TearDown() override {
     server_->stop();
     if (thread_.joinable()) thread_.join();
+  }
+
+  /// A detached submit; returns the job id.
+  std::string submit_job(const Json& doc, const Json* indices = nullptr) {
+    Json wire = Json::object();
+    wire.set("cmd", "submit");
+    wire.set("doc", doc);
+    if (indices != nullptr) wire.set("indices", *indices);
+    const Json frame =
+        serve::submit_raw("127.0.0.1", server_->port(), wire).final_event;
+    EXPECT_EQ(frame.at("event").as_string(), "job") << frame.dump(-1);
+    return frame.at("id").as_string();
   }
 
   std::unique_ptr<serve::ScenarioServer> server_;
@@ -256,6 +279,61 @@ TEST_F(ExecServerFixture, ExplicitIndicesMatchTheFullSweepsCells) {
       remote.execute(selected_request({}), &remote_observer);
   EXPECT_EQ(remote_none.artifact().dump(), none.artifact().dump());
   EXPECT_TRUE(remote_observer.indices.empty());
+}
+
+// ------------------------------------------------------- attach to a job
+
+TEST_F(ExecServerFixture, AttachOfAnIndexedJobRecordsItsSelectionAndMerges) {
+  const Json indices(util::JsonArray{Json(1), Json(3)});
+  const std::string id = submit_job(four_cell_campaign_doc(), &indices);
+
+  exec::RemoteExecutor remote("127.0.0.1", server_->port());
+  RecordingObserver observer;
+  const exec::Outcome attached = remote.attach(id, &observer);
+  ASSERT_EQ(attached.kind, exec::Request::Kind::campaign);
+  EXPECT_EQ(attached.summary.name, "four_cells");
+  ASSERT_TRUE(attached.summary.selection.has_value());
+  EXPECT_EQ(attached.summary.selection->of, 4u);
+  EXPECT_EQ(attached.summary.selection->indices,
+            (std::vector<std::size_t>{1, 3}));
+  EXPECT_EQ(attached.scenarios_run, 2u);
+  EXPECT_EQ(observer.total_cells, 4u);
+  EXPECT_EQ(observer.own_cells, 2u);
+  EXPECT_EQ(observer.indices, (std::set<std::size_t>{1, 3}));
+
+  // The other half, run locally, merges to the whole campaign's bytes.
+  exec::LocalExecutor local;
+  exec::Request other = exec::Request::from_json(four_cell_campaign_doc());
+  other.indices = std::vector<std::size_t>{0, 2};
+  const scenario::CampaignSummary merged = exec::merge_shard_summaries(
+      {attached.summary, local.execute(other).summary});
+  EXPECT_EQ(
+      merged.to_json().dump(),
+      local.execute(exec::Request::from_json(four_cell_campaign_doc()))
+          .artifact()
+          .dump());
+}
+
+TEST_F(ExecServerFixture, AttachOfAScenarioJobEqualsRun) {
+  const std::string id = submit_job(tiny_scenario_doc());
+  const scenario::ScenarioResult direct = scenario::run_scenario(
+      scenario::ScenarioSpec::from_json(tiny_scenario_doc()), 2);
+
+  exec::RemoteExecutor remote("127.0.0.1", server_->port());
+  RecordingObserver observer;
+  const exec::Outcome attached = remote.attach(id, &observer);
+  ASSERT_EQ(attached.kind, exec::Request::Kind::scenario);
+  EXPECT_EQ(attached.artifact().dump(), direct.to_json().dump());
+  EXPECT_EQ(attached.scenarios_run, 1u);
+  EXPECT_EQ(observer.indices, (std::set<std::size_t>{0}));
+
+  // A job the daemon does not know is an ExecError naming it.
+  try {
+    remote.attach("deadbeef0000-00000000");
+    FAIL() << "expected an ExecError";
+  } catch (const exec::ExecError& e) {
+    EXPECT_NE(std::string(e.what()).find("deadbeef0000"), std::string::npos);
+  }
 }
 
 TEST(RequestValidationTest, RejectsMalformedIndexSelections) {

@@ -293,6 +293,108 @@ TEST_F(JobServiceFixture, LiveAttachOfAScenarioJobMatchesDirectRun) {
   EXPECT_EQ(stream.results[0].dump(), direct.to_json().dump());
 }
 
+TEST(JobReplayTest, EvictedCellsReplayThroughTheCellPathByteIdentically) {
+  // A memory-only daemon whose cache holds one artifact: once a 2-cell job
+  // is done, at least one of its cells is gone, so attach must recompute
+  // it — through the exec cell path, which counts it.
+  serve::ServeOptions options;
+  options.port = 0;
+  options.threads = 2;
+  options.cache_capacity = 1;
+  serve::ScenarioServer server(std::move(options));
+  server.start();
+  std::thread accept_thread([&server] { server.serve_forever(); });
+  struct Stop {  // joins the accept loop on every exit path
+    serve::ScenarioServer& server;
+    std::thread& thread;
+    ~Stop() {
+      server.stop();
+      thread.join();
+    }
+  } stop{server, accept_thread};
+  const auto raw = [&server](const Json& wire) {
+    return serve::submit_raw("127.0.0.1", server.port(), wire);
+  };
+  const auto computed_cells = [&raw] {
+    Json wire = Json::object();
+    wire.set("cmd", "metrics");
+    const Json metrics = raw(wire).final_event.at("metrics");
+    const Json* value =
+        metrics.at("counters").find("clktune_exec_cells_computed_total");
+    return value == nullptr ? std::uint64_t{0} : value->as_uint();
+  };
+
+  Json submit = Json::object();
+  submit.set("cmd", "submit");
+  submit.set("doc", tiny_campaign_doc());
+  const std::string id = raw(submit).final_event.at("id").as_string();
+  Json status = Json::object();
+  status.set("cmd", "status");
+  status.set("id", id);
+  std::string state;
+  for (int i = 0; i < 600 && !terminal_state(state); ++i) {
+    if (i > 0) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    state = raw(status).final_event.at("state").as_string();
+  }
+
+  const std::uint64_t before = computed_cells();
+  Json attach = Json::object();
+  attach.set("cmd", "attach");
+  attach.set("id", id);
+  const serve::SubmitOutcome stream = raw(attach);
+  const std::uint64_t after = computed_cells();
+
+  ASSERT_EQ(state, "done");
+  ASSERT_TRUE(stream.ok());
+  exec::LocalExecutor local;
+  const exec::Outcome reference =
+      local.execute(exec::Request::from_json(tiny_campaign_doc()));
+  ASSERT_EQ(stream.results.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i)
+    EXPECT_EQ(stream.results[i].dump(),
+              reference.summary.results[i].to_json().dump());
+  const std::uint64_t missed = 2 - stream.cached;
+  EXPECT_GE(missed, 1u);
+  EXPECT_EQ(after - before, missed);
+}
+
+// ------------------------------------------------------- job frames
+
+TEST_F(JobServiceFixture, IndexedJobFramesCarryTheirSelection) {
+  // A whole-campaign job's frame keeps its bytes: no selection member.
+  const Json whole = submit_job(tiny_campaign_doc());
+  ASSERT_EQ(whole.at("event").as_string(), "job");
+  const std::string expected =
+      R"({"event":"job","id":")" + whole.at("id").as_string() +
+      R"(","state":"queued","kind":"campaign","name":"tiny_campaign",)"
+      R"("cells_total":2,"cells_done":0,"cached":0,"targets_missed":0,)"
+      R"("created_ms":)" +
+      std::to_string(whole.at("created_ms").as_uint()) +
+      R"(,"updated_ms":)" +
+      std::to_string(whole.at("updated_ms").as_uint()) + "}";
+  EXPECT_EQ(whole.dump(-1), expected);
+
+  // A job submitted with a list names it, and the campaign size it is a
+  // part of, in every frame: submit, status and the jobs listing.
+  Json wire = Json::object();
+  wire.set("cmd", "submit");
+  wire.set("doc", tiny_campaign_doc());
+  wire.set("indices", Json(util::JsonArray{Json(1)}));
+  const Json indexed = raw(wire).final_event;
+  ASSERT_EQ(indexed.at("event").as_string(), "job");
+  const std::string selection = R"("name":"tiny_campaign",)"
+                                R"("selection":{"of":2,"indices":[1]},)"
+                                R"("cells_total":1,)";
+  EXPECT_NE(indexed.dump(-1).find(selection), std::string::npos)
+      << indexed.dump(-1);
+  const std::string id = indexed.at("id").as_string();
+  EXPECT_NE(job_status(id).dump(-1).find(selection), std::string::npos);
+  Json list = Json::object();
+  list.set("cmd", "jobs");
+  EXPECT_NE(raw(list).final_event.dump(-1).find(selection),
+            std::string::npos);
+}
+
 // ------------------------------------------------------- restart recovery
 
 TEST_F(JobServiceFixture, RestartRecoversFinishedJobsByteIdentically) {
@@ -435,6 +537,9 @@ TEST(JobStoreTest, EnvelopesPersistAndInterruptedJobsRequeueOnLoad) {
     const jobs::JobRecord c =
         store.create(doc, "scenario", "tiny", std::vector<std::size_t>{0}, 1);
     EXPECT_NE(c.id.substr(0, 12), a.id.substr(0, 12));
+    // Its document is no campaign, so its job frame has no expansion size
+    // to record and goes without a selection instead of throwing.
+    EXPECT_FALSE(c.status_json().contains("selection"));
   }
 
   jobs::JobStore reloaded(dir);

@@ -5,10 +5,19 @@
 // submission entirely from the cache.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
 #include <chrono>
+#include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "exec/observer.h"
+#include "exec/remote_executor.h"
+#include "exec/request.h"
+#include "jobs/job.h"
+#include "scenario/campaign.h"
 #include "scenario/scenario.h"
 #include "serve/client.h"
 #include "serve/server.h"
@@ -203,17 +212,15 @@ TEST_F(ServerFixture, IndicesSweepRunsExactlyTheRequestedCells) {
       serve::submit_raw("127.0.0.1", server_->port(), wire);
   ASSERT_TRUE(unit.ok());
   EXPECT_EQ(unit.final_event.at("scenarios_run").as_uint(), 1u);
-  // submit_raw stores results by index, so slot 0 stays empty.
-  ASSERT_EQ(unit.results.size(), 2u);
-  EXPECT_TRUE(unit.results[0].is_null());
-  EXPECT_EQ(unit.results[1].at("setting").as_string(), "muT+s");
+  ASSERT_EQ(unit.results.size(), 1u);
+  EXPECT_EQ(unit.results[0].at("setting").as_string(), "muT+s");
 
   // The same cell through the full sweep is byte-identical — a work unit
   // is just a selection, never a different computation.
   const serve::SubmitOutcome full = serve::submit_request(
       "127.0.0.1", server_->port(), "sweep", tiny_campaign_doc());
   ASSERT_TRUE(full.ok());
-  EXPECT_EQ(unit.results[1].dump(), full.results[1].dump());
+  EXPECT_EQ(unit.results[0].dump(), full.results[1].dump());
 
   // An empty list runs no cell; it never means the whole campaign.
   wire.set("indices", Json(util::JsonArray{}));
@@ -338,6 +345,92 @@ TEST(ClientTimeoutTest, UnreachableDaemonReportsTheEndpoint) {
     EXPECT_NE(std::string(e.what()).find(std::to_string(port)),
               std::string::npos);
   }
+}
+
+// ------------------------------------------------------ hostile peers
+
+/// A scripted daemon on an ephemeral loopback port: each accepted
+/// connection reads one request line, gets the next canned reply (NDJSON
+/// lines) and is closed.
+class FakePeer {
+ public:
+  explicit FakePeer(std::vector<std::string> replies)
+      : listener_(util::tcp_listen(0)),
+        port_(util::tcp_local_port(listener_)),
+        thread_([this, replies = std::move(replies)] {
+          for (const std::string& reply : replies) {
+            const util::TcpSocket connection = util::tcp_accept(listener_);
+            if (!connection.valid()) return;
+            try {
+              util::LineReader reader(connection);
+              std::string line;
+              reader.read_line(line);
+              util::tcp_write_all(connection, reply);
+            } catch (const std::exception&) {
+              // The client hung up first; the script goes on.
+            }
+          }
+        }) {}
+
+  ~FakePeer() {
+    ::shutdown(listener_.fd(), SHUT_RDWR);  // pops an unanswered accept
+    thread_.join();
+  }
+  FakePeer(const FakePeer&) = delete;
+  FakePeer& operator=(const FakePeer&) = delete;
+
+  std::uint16_t port() const { return port_; }
+
+ private:
+  util::TcpSocket listener_;
+  std::uint16_t port_;
+  std::thread thread_;
+};
+
+TEST(FakePeerTest, SubmitRawSizesNothingByAWireIndex) {
+  // Index 2^62: sizing a slot vector by index + 1 throws long before the
+  // frame could be kept.
+  FakePeer peer({R"({"event":"result","index":4611686018427387904,)"
+                 R"("cached":false,"result":{"name":"far"}})"
+                 "\n"
+                 R"({"event":"done","ok":true,"scenarios_run":1,)"
+                 R"("targets_missed":0,"cached":0})"
+                 "\n"});
+  const serve::SubmitOutcome outcome = serve::submit_raw(
+      "127.0.0.1", peer.port(), Json::parse(R"({"cmd":"sweep"})"));
+  EXPECT_TRUE(outcome.ok());
+  ASSERT_EQ(outcome.results.size(), 1u);
+  EXPECT_EQ(outcome.results[0].at("name").as_string(), "far");
+}
+
+TEST(FakePeerTest, RemoteExecutorRefusesACellOutsideItsSelection) {
+  // The request selects cell 0; the peer streams a real artifact of cell
+  // 1 and then claims success.
+  exec::Request request = exec::Request::from_json(tiny_campaign_doc());
+  request.indices = std::vector<std::size_t>{0};
+  const scenario::ScenarioResult stray = scenario::run_scenario(
+      scenario::CampaignSpec::from_json(tiny_campaign_doc()).expand()[1], 1);
+  FakePeer peer({jobs::result_frame(1, false, stray.to_json()).dump(-1) +
+                 "\n" +
+                 R"({"event":"done","ok":true,"scenarios_run":1,)"
+                 R"("targets_missed":0,"cached":0})"
+                 "\n"});
+
+  struct Recorder : exec::Observer {
+    void on_cell(const exec::CellEvent& event) override {
+      seen.insert(event.index);
+    }
+    std::set<std::size_t> seen;
+  } observer;
+  exec::RemoteExecutor remote("127.0.0.1", peer.port());
+  try {
+    remote.execute(request, &observer);
+    FAIL() << "expected an ExecError";
+  } catch (const exec::ExecError& e) {
+    EXPECT_NE(std::string(e.what()).find("cell index 1 "), std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(observer.seen.empty());
 }
 
 }  // namespace
