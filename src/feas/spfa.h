@@ -41,6 +41,16 @@ struct SpfaScratch {
   std::vector<int> thread_next;
   std::vector<int> thread_prev;
   std::vector<int> depth;
+
+  /// Capacity for runs over up to n nodes, so none of them allocates.
+  void reserve(std::size_t n) {
+    dist.reserve(n);
+    queued.reserve(n);
+    queue.reserve(n);
+    thread_next.reserve(n + 1);
+    thread_prev.reserve(n + 1);
+    depth.reserve(n + 1);
+  }
 };
 
 /// Shortest-path potentials from an implicit super-source: all distances

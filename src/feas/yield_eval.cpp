@@ -67,6 +67,20 @@ YieldEvaluator::YieldEvaluator(const ssta::SeqGraph& graph, TuningPlan plan,
   // plan only when x = 0 is a configuration.
   for (const BufferWindow& w : group_windows_)
     CLKTUNE_EXPECTS(w.k_lo <= 0 && w.k_hi >= 0);
+  // judge() grows its arc set through arcs_of_ff of each moved group.
+  CLKTUNE_EXPECTS(graph.arcs_of_ff.size() ==
+                  static_cast<std::size_t>(graph.num_ffs));
+  group_ff_begin_.assign(static_cast<std::size_t>(plan_.num_groups) + 1, 0);
+  for (const int g : plan_.group_of)
+    ++group_ff_begin_[static_cast<std::size_t>(g) + 1];
+  for (std::size_t g = 1; g < group_ff_begin_.size(); ++g)
+    group_ff_begin_[g] += group_ff_begin_[g - 1];
+  group_ffs_.resize(plan_.buffers.size());
+  std::vector<int> fill(group_ff_begin_.begin(), group_ff_begin_.end() - 1);
+  for (std::size_t i = 0; i < plan_.buffers.size(); ++i) {
+    int& slot = fill[static_cast<std::size_t>(plan_.group_of[i])];
+    group_ffs_[static_cast<std::size_t>(slot++)] = plan_.buffers[i].ff;
+  }
 
   // Static topology: the reference node is plan_.num_groups.
   const int ref = plan_.num_groups;
@@ -128,6 +142,91 @@ struct CachedDelays {
   }
 };
 
+/// judge()'s per-thread scratch: the arc set S and its local constraint
+/// graph, whose node 0 is the reference and node n > 0 the group
+/// group_of_node[n].  Arcs and groups carry epoch stamps, so starting a
+/// chip or a round is O(1).
+struct RepairWorkspace {
+  /// An arc of S with its exact quantized constants.
+  struct Arc {
+    int arc = 0;
+    std::int32_t setup = 0, hold = 0;
+  };
+  std::uint64_t epoch = 0;
+  /// The chip's epoch: arc_stamp[e] equal to it puts arc e in S, and
+  /// group_stamp[g] makes group g node node_of_group[g].  A round takes a
+  /// later epoch, which marks the arcs it has drawn.
+  std::uint64_t chip = 0;
+  std::vector<std::uint64_t> arc_stamp, group_stamp;
+  std::vector<int> node_of_group, group_of_node;
+  std::vector<Arc> set;
+  std::vector<int> head, edge_next, edge_to;
+  std::vector<std::int64_t> edge_weight;
+  SpfaScratch spfa;
+
+  /// Starts a chip.  Sized on first use for up to `set_arcs` arcs in S,
+  /// `groups` nodes besides the reference and `edges` edges, so no later
+  /// chip of the same evaluator allocates.
+  void begin(std::size_t arcs, std::size_t groups, std::size_t set_arcs,
+             std::size_t edges) {
+    if (arc_stamp.size() < arcs) arc_stamp.resize(arcs, 0);
+    if (group_stamp.size() < groups) {
+      group_stamp.resize(groups, 0);
+      node_of_group.resize(groups, 0);
+    }
+    set.reserve(set_arcs);
+    group_of_node.reserve(groups + 1);
+    head.reserve(groups + 1);
+    edge_next.reserve(edges);
+    edge_to.reserve(edges);
+    edge_weight.reserve(edges);
+    spfa.reserve(groups + 1);
+
+    chip = ++epoch;
+    set.clear();
+    group_of_node.assign(1, -1);
+    head.assign(1, -1);
+    edge_next.clear();
+    edge_to.clear();
+    edge_weight.clear();
+  }
+
+  /// Constraint x_u - x_v <= w: edge v -> u with weight w.
+  void add_edge(int u, int v, std::int64_t w) {
+    edge_to.push_back(u);
+    edge_next.push_back(head[static_cast<std::size_t>(v)]);
+    head[static_cast<std::size_t>(v)] = static_cast<int>(edge_to.size()) - 1;
+    edge_weight.push_back(w);
+  }
+
+  /// Node of group g (-1: the reference), added with its window edges on
+  /// first touch.
+  int node(int g, const std::vector<BufferWindow>& windows) {
+    if (g < 0) return 0;
+    const auto gs = static_cast<std::size_t>(g);
+    if (group_stamp[gs] == chip) return node_of_group[gs];
+    const int n = static_cast<int>(group_of_node.size());
+    group_stamp[gs] = chip;
+    node_of_group[gs] = n;
+    group_of_node.push_back(g);
+    head.push_back(-1);
+    add_edge(n, 0, windows[gs].k_hi);
+    add_edge(0, n, -windows[gs].k_lo);
+    return n;
+  }
+
+  /// Shortest-path potentials of the local graph into spfa.dist; false on
+  /// a negative cycle.
+  bool solve() {
+    return spfa_potentials(
+        static_cast<int>(group_of_node.size()), spfa,
+        [&](int v) { return head[static_cast<std::size_t>(v)]; },
+        [&](int e) { return edge_next[static_cast<std::size_t>(e)]; },
+        [&](int e) { return edge_to[static_cast<std::size_t>(e)]; },
+        [&](int e) { return edge_weight[static_cast<std::size_t>(e)]; });
+  }
+};
+
 }  // namespace
 
 template <class Delays>
@@ -179,37 +278,84 @@ bool YieldEvaluator::spfa_feasible(Workspace& ws) const {
 
 bool YieldEvaluator::judge(const mc::ArcScreen& screen, std::uint64_t k,
                            const mc::ChipVerdict& verdict) const {
-  thread_local Workspace ws;
+  thread_local RepairWorkspace ws;
+  // At worst every edge arc joins S and every group is a node: the static
+  // graph's edges.
+  ws.begin(graph_->arcs.size(), static_cast<std::size_t>(plan_.num_groups),
+           edge_arcs_.size(), weights_template_.size());
   const ssta::SeqGraph& graph = *graph_;
   const std::array<double, ssta::kParams> z = screen.sampler().globals(k);
-  const auto check_only = [&](int e) {
-    const ssta::SeqArc& arc = graph.arcs[static_cast<std::size_t>(e)];
-    return var_of_ff_[static_cast<std::size_t>(arc.src_ff)] ==
-           var_of_ff_[static_cast<std::size_t>(arc.dst_ff)];
-  };
 
-  // ---- check-only arcs: raw sign tests, on arcs that can fail ----------
+  // ---- seed: the arcs violated at x = 0, by raw sign --------------------
+  // A violated check-only arc fails the chip whatever the tuning.
+  const auto seed = [&](int e) {
+    const ssta::SeqArc& arc = graph.arcs[static_cast<std::size_t>(e)];
+    if (group_of_ff(arc.src_ff) == group_of_ff(arc.dst_ff)) return false;
+    std::uint64_t& stamp = ws.arc_stamp[static_cast<std::size_t>(e)];
+    if (stamp != ws.chip) {
+      stamp = ws.chip;
+      ws.set.push_back({e, 0, 0});
+    }
+    return true;
+  };
   for (const int e : screen.setup_risk_arcs())
-    if (check_only(e) &&
-        screen.setup_violated(k, z, static_cast<std::size_t>(e)))
+    if (screen.setup_violated(k, z, static_cast<std::size_t>(e)) && !seed(e))
       return false;
   // Without H_k every hold slack of the chip is non-negative.
   if (verdict.hold_fail)
     for (const int e : screen.hold_risk_arcs())
-      if (check_only(e) &&
-          screen.hold_violated(k, z, static_cast<std::size_t>(e)))
+      if (screen.hold_violated(k, z, static_cast<std::size_t>(e)) && !seed(e))
         return false;
-  if (edge_arcs_.empty() && plan_.num_groups == 0) return true;
+  if (ws.set.empty()) return true;  // x = 0 is a configuration
+  for (RepairWorkspace::Arc& a : ws.set)
+    screen.constants(k, z, static_cast<std::size_t>(a.arc), a.setup, a.hold);
 
-  // ---- edge arcs: exact constants, then SPFA ---------------------------
-  ws.weights.assign(weights_template_.begin(), weights_template_.end());
-  for (const EdgeArc& ea : edge_arcs_) {
-    std::int32_t setup = 0, hold = 0;
-    screen.constants(k, z, static_cast<std::size_t>(ea.arc), setup, hold);
-    ws.weights[static_cast<std::size_t>(ea.setup_slot)] = setup;
-    ws.weights[static_cast<std::size_t>(ea.hold_slot)] = hold;
+  // ---- solve S, then grow it by the arcs the moved groups violate -------
+  for (std::size_t added = 0;;) {
+    for (; added < ws.set.size(); ++added) {
+      const RepairWorkspace::Arc& a = ws.set[added];
+      const ssta::SeqArc& arc = graph.arcs[static_cast<std::size_t>(a.arc)];
+      const int ui = ws.node(group_of_ff(arc.src_ff), group_windows_);
+      const int uj = ws.node(group_of_ff(arc.dst_ff), group_windows_);
+      ws.add_edge(ui, uj, a.setup);  // setup: x_ui - x_uj <= setup_steps
+      ws.add_edge(uj, ui, a.hold);   // hold:  x_uj - x_ui <= hold_steps
+    }
+    if (!ws.solve()) return false;  // S alone is infeasible
+    const std::int64_t* const dist = ws.spfa.dist.data();
+    // x of a flip-flop: its group's potential against the reference; 0 for
+    // an unbuffered flip-flop and for a group S does not touch.
+    const auto value = [&](int ff) -> std::int64_t {
+      const int g = group_of_ff(ff);
+      if (g < 0 || ws.group_stamp[static_cast<std::size_t>(g)] != ws.chip)
+        return 0;
+      return dist[ws.node_of_group[static_cast<std::size_t>(g)]] - dist[0];
+    };
+    const std::uint64_t round = ++ws.epoch;
+    for (std::size_t node = 1; node < ws.group_of_node.size(); ++node) {
+      if (dist[node] == dist[0]) continue;  // the group did not move
+      const auto g = static_cast<std::size_t>(ws.group_of_node[node]);
+      for (int i = group_ff_begin_[g]; i < group_ff_begin_[g + 1]; ++i) {
+        const int ff = group_ffs_[static_cast<std::size_t>(i)];
+        for (const int e : graph.arcs_of_ff[static_cast<std::size_t>(ff)]) {
+          std::uint64_t& stamp = ws.arc_stamp[static_cast<std::size_t>(e)];
+          if (stamp == ws.chip || stamp == round) continue;
+          stamp = round;
+          const ssta::SeqArc& arc = graph.arcs[static_cast<std::size_t>(e)];
+          const std::int64_t xi = value(arc.src_ff);
+          const std::int64_t xj = value(arc.dst_ff);
+          if (xi == xj) continue;
+          RepairWorkspace::Arc a{e, 0, 0};
+          screen.constants(k, z, static_cast<std::size_t>(e), a.setup,
+                           a.hold);
+          if (xi - xj > a.setup || xj - xi > a.hold) {
+            stamp = ws.chip;
+            ws.set.push_back(a);
+          }
+        }
+      }
+    }
+    if (added == ws.set.size()) return true;  // every drawn arc holds
   }
-  return spfa_feasible(ws);
 }
 
 bool YieldEvaluator::solve_sample(const mc::Sampler& sampler, std::uint64_t k,

@@ -18,16 +18,30 @@
 // Every window contains 0 — the constructor asserts it — so a chip that
 // passes untuned passes under any plan, and its verdict (P_k, H_k) says so
 // without a look at its arcs: it passes at T unless it fails hold or
-// P_k > T - band.  Only the other chips are judged: a check-only arc that
-// the screen finds violated fails the chip at once (setup arcs only from
-// the screen's short list of arcs some chip could violate at T, hold arcs
-// only when H_k), and otherwise SPFA runs over the edge arcs' exact
-// constants.  Within the rounding band of P_k the judgement is the exact
-// check, so every count equals the dense per-chip loop's.  The untuned
-// yield Yo is the same evaluation with an empty plan: a count over the
-// verdicts.  The steady-state judgement performs zero heap allocations
-// (per-thread workspace).  Evaluation uses its own seed so reported yields
-// are out-of-sample relative to the insertion run.
+// P_k > T - band.  Only the other chips are judged, by local repair, the
+// insertion engine's lazy loop with SPFA in place of the MILP:
+//
+//   * seed: the set S of arcs violated at x = 0, by raw sign — setup arcs
+//     from the screen's short list of arcs some chip could violate at T,
+//     hold arcs only when H_k.  A violated check-only arc fails the chip at
+//     once; an empty S means x = 0 is a configuration;
+//   * solve: SPFA over the reference node, the groups S touches, their
+//     windows and S's exact constants.  A negative cycle fails the chip
+//     (an infeasible subset makes the whole system infeasible); otherwise
+//     every untouched group sits at 0;
+//   * grow: the arcs incident to each group that moved, drawn exactly
+//     unless both ends sit at one value; the violated ones join S, and the
+//     loop repeats until none does.  The chip then passes: the potentials
+//     satisfy S, every window and every arc that was drawn, and every other
+//     arc has x_i = x_j and, being outside S, a constant floor_steps(c) >= 0
+//     since c >= 0.
+//
+// Within the rounding band of P_k the judgement is the exact check, so
+// every count equals the dense per-chip loop's.  The untuned yield Yo is
+// the same evaluation with an empty plan: a count over the verdicts.  The
+// steady-state judgement performs zero heap allocations (per-thread
+// workspace).  Evaluation uses its own seed so reported yields are
+// out-of-sample relative to the insertion run.
 #pragma once
 
 #include <cstdint>
@@ -66,10 +80,10 @@ class YieldEvaluator {
   /// Same question over already drawn delays.
   bool sample_feasible(const mc::ArcDelaysView& delays) const;
 
-  /// Same question on the arc screen, for chip k with verdict `verdict`;
-  /// `screen` must be at this evaluator's period and the plan's step.
-  /// Equals sample_feasible(screen.sampler(), k).  Zero heap allocations in
-  /// steady state.
+  /// Same question on the arc screen, for chip k with verdict `verdict`, by
+  /// local repair; `screen` must be at this evaluator's period and the
+  /// plan's step.  Equals sample_feasible(screen.sampler(), k).  Zero heap
+  /// allocations in steady state.
   bool judge(const mc::ArcScreen& screen, std::uint64_t k,
              const mc::ChipVerdict& verdict) const;
 
@@ -148,6 +162,10 @@ class YieldEvaluator {
   std::vector<int> var_of_ff_;
   /// Per-group window (union of members).
   std::vector<BufferWindow> group_windows_;
+  /// Flip-flops of group g: group_ffs_[group_ff_begin_[g] ..
+  /// group_ff_begin_[g + 1]).
+  std::vector<int> group_ff_begin_;
+  std::vector<int> group_ffs_;
 
   // Arc partition (III-style split, computed once).
   std::vector<int> check_arcs_;

@@ -140,9 +140,8 @@ JobRecord JobScheduler::submit(
   // Validate at admission: a malformed document must fail the submit
   // verb, never a worker minutes later.  The *resolved* document is what
   // gets persisted, so recovery and replay never depend on parser
-  // defaults staying stable.
-  if (indices && indices->empty())
-    throw JobError("a job must cover a cell; the \"indices\" list is empty");
+  // defaults staying stable.  An empty index list is a job of no cell, as
+  // it is a sweep of none.
   exec::Request request = exec::Request::from_json(doc);
   request.indices = indices;
   request.validate();

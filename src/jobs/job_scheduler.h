@@ -84,9 +84,9 @@ class JobScheduler {
   void stop();
 
   /// Admits a document, optionally with a campaign index selection
-  /// (nullopt = the whole expansion).  Validates eagerly — a malformed
-  /// document or an empty selection (a job must cover a cell) throws here,
-  /// at submission, never later inside a worker.  Returns the queued
+  /// (nullopt = the whole expansion; an empty list = a job of no cell,
+  /// which ends `done`).  Validates eagerly — a malformed document throws
+  /// here, at submission, never later inside a worker.  Returns the queued
   /// record.
   JobRecord submit(const util::Json& doc,
                    std::optional<std::vector<std::size_t>> indices);

@@ -181,14 +181,6 @@ TEST_F(JobServiceFixture, InvalidDocumentsAreRejectedAtAdmission) {
     EXPECT_TRUE(outcome.results.empty()) << cmd;
   }
 
-  // A job must cover a cell: an empty index list is refused, not read as
-  // the whole campaign.
-  Json empty = Json::object();
-  empty.set("cmd", "submit");
-  empty.set("doc", tiny_campaign_doc());
-  empty.set("indices", Json(util::JsonArray{}));
-  EXPECT_EQ(raw(empty).final_event.at("event").as_string(), "error");
-
   // None of the refusals computed a cell or queued a job.
   Json status_wire = Json::object();
   status_wire.set("cmd", "status");
@@ -204,6 +196,40 @@ TEST_F(JobServiceFixture, InvalidDocumentsAreRejectedAtAdmission) {
   EXPECT_EQ(unknown.at("event").as_string(), "error");
   EXPECT_NE(unknown.at("message").as_string().find("deadbeef0000"),
             std::string::npos);
+}
+
+// An empty index list is a job of no cell, as it is a sweep of none, not
+// the whole campaign: admitted, `done` with zero cells, and an attach
+// stream with no result frame.
+TEST_F(JobServiceFixture, EmptySelectionIsAJobOfNoCell) {
+  Json wire = Json::object();
+  wire.set("cmd", "submit");
+  wire.set("doc", tiny_campaign_doc());
+  wire.set("indices", Json(util::JsonArray{}));
+  const Json frame = raw(wire).final_event;
+  ASSERT_EQ(frame.at("event").as_string(), "job");
+  EXPECT_EQ(frame.at("cells_total").as_uint(), 0u);
+  EXPECT_EQ(frame.at("selection").at("of").as_uint(), 2u);
+  EXPECT_TRUE(frame.at("selection").at("indices").as_array().empty());
+  const std::string id = frame.at("id").as_string();
+
+  const Json done = wait_terminal(id);
+  EXPECT_EQ(done.at("state").as_string(), "done");
+  EXPECT_EQ(done.at("cells_done").as_uint(), 0u);
+  const serve::SubmitOutcome stream = attach(id);
+  ASSERT_TRUE(stream.ok());
+  EXPECT_TRUE(stream.results.empty());
+
+  // No cell was computed, and the job is listed.
+  Json status_wire = Json::object();
+  status_wire.set("cmd", "status");
+  EXPECT_EQ(raw(status_wire).final_event.at("scenarios_run").as_uint(), 0u);
+  Json jobs_wire = Json::object();
+  jobs_wire.set("cmd", "jobs");
+  const util::JsonArray listed =
+      raw(jobs_wire).final_event.at("jobs").as_array();
+  ASSERT_EQ(listed.size(), 1u);
+  EXPECT_EQ(listed[0].at("id").as_string(), id);
 }
 
 // ---------------------------------------------------------- byte identity

@@ -11,7 +11,9 @@
 #include "mc/period_mc.h"
 #include "mc/sampler.h"
 #include "netlist/generator.h"
+#include "reference/dense.h"
 #include "ssta/seq_graph.h"
+#include "util/rng.h"
 
 namespace clktune {
 namespace {
@@ -439,6 +441,130 @@ TEST(YieldEvaluatorTest, EvaluationIsThreadCountInvariant) {
   const feas::YieldResult a = eval.evaluate(sampler, 1500, 1);
   const feas::YieldResult b = eval.evaluate(sampler, 1500, 8);
   EXPECT_EQ(a.passing, b.passing);
+}
+
+// ---------------------- local repair vs the dense check ---------------------
+
+/// A random graph on `n` flip-flops with `m` arcs between random endpoints,
+/// self-loops included.  Delays vary through three global parameters and a
+/// local draw; a quarter of the arcs are short enough to fail hold on some
+/// chips.
+ssta::SeqGraph random_graph(util::SplitMix64& rng, int n, int m) {
+  ssta::SeqGraph g;
+  g.num_ffs = n;
+  for (int f = 0; f < n; ++f) {
+    g.setup_ps.push_back(rng.next_double(1.0, 3.0));
+    g.hold_ps.push_back(rng.next_double(0.5, 2.0));
+    g.skew_ps.push_back(rng.next_double(-3.0, 3.0));
+  }
+  g.arcs_of_ff.assign(static_cast<std::size_t>(n), {});
+  const auto ffs = static_cast<std::uint64_t>(n);
+  for (int e = 0; e < m; ++e) {
+    ssta::SeqArc arc;
+    arc.src_ff = static_cast<int>(rng.next_below(ffs));
+    arc.dst_ff = static_cast<int>(rng.next_below(ffs));
+    arc.dmax.mu = rng.next_double(60.0, 100.0);
+    arc.dmin.mu = rng.next_below(4) == 0 ? rng.next_double(0.0, 6.0)
+                                         : arc.dmax.mu * 0.6;
+    for (std::size_t p = 0; p < 3; ++p) {
+      arc.dmax.a[p] = rng.next_double(-1.0, 4.0);
+      arc.dmin.a[p] = rng.next_double(-1.0, 1.0);
+    }
+    arc.dmax.aloc = rng.next_double(1.0, 6.0);
+    arc.dmin.aloc = rng.next_double(0.5, 2.0);
+    g.arcs.push_back(arc);
+    g.arcs_of_ff[static_cast<std::size_t>(arc.src_ff)].push_back(e);
+    if (arc.dst_ff != arc.src_ff)
+      g.arcs_of_ff[static_cast<std::size_t>(arc.dst_ff)].push_back(e);
+  }
+  return g;
+}
+
+/// A buffer on every flip-flop, each its own group, window [-half, half].
+TuningPlan every_ff_plan(int n, double step, int half) {
+  TuningPlan plan;
+  plan.step_ps = step;
+  for (int f = 0; f < n; ++f) plan.buffers.push_back({f, -half, half});
+  plan.reset_groups();
+  return plan;
+}
+
+/// Buffers on a random subset of the flip-flops, in random groups of one or
+/// more members; a member's window is one-sided ([0, r] or [-r, 0]) as
+/// often as two-sided.
+TuningPlan random_grouped_plan(util::SplitMix64& rng, int n, double step) {
+  TuningPlan plan;
+  plan.step_ps = step;
+  for (int f = 0; f < n; ++f) {
+    if (rng.next_below(3) == 0) continue;  // unbuffered
+    const int lo = -static_cast<int>(rng.next_below(7));
+    const int hi = static_cast<int>(rng.next_below(7));
+    switch (rng.next_below(4)) {
+      case 0:
+        plan.buffers.push_back({f, 0, hi});
+        break;
+      case 1:
+        plan.buffers.push_back({f, lo, 0});
+        break;
+      default:
+        plan.buffers.push_back({f, lo, hi});
+        break;
+    }
+  }
+  const auto buffers = static_cast<int>(plan.buffers.size());
+  plan.num_groups =
+      buffers == 0 ? 0
+                   : 1 + static_cast<int>(rng.next_below(
+                             static_cast<std::uint64_t>(buffers)));
+  // The first num_groups buffers give every group a member.
+  for (int i = 0; i < buffers; ++i)
+    plan.group_of.push_back(
+        i < plan.num_groups
+            ? i
+            : static_cast<int>(rng.next_below(
+                  static_cast<std::uint64_t>(plan.num_groups))));
+  return plan;
+}
+
+// evaluate() judges each chip that fails untuned by local repair; on random
+// small graphs its counts must equal the dense per-chip check for a buffer
+// on every flip-flop, which moves the most groups, and for sparse grouped
+// plans with one-sided windows, unbuffered endpoints and self-loops.
+TEST(YieldEvaluatorTest, LocalRepairMatchesDenseOnRandomGraphs) {
+  util::SplitMix64 rng(20160);
+  constexpr std::uint64_t kChips = 300;
+  std::uint64_t judged_pass = 0, judged_fail = 0, hold_chips = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const int n = 3 + static_cast<int>(rng.next_below(10));
+    const int m = n + static_cast<int>(rng.next_below(
+                          static_cast<std::uint64_t>(3 * n)));
+    const ssta::SeqGraph g = random_graph(rng, n, m);
+    const mc::Sampler sampler(g, 1000 + static_cast<std::uint64_t>(trial));
+    const mc::ChipVerdicts verdicts(sampler, kChips, 1);
+    const mc::PeriodStats ps = mc::sample_min_period(sampler, kChips, 1);
+    const double t = ps.mu() + rng.next_double(-0.5, 1.0) * ps.sigma();
+    const double step = rng.next_double(0.5, 3.0);
+    for (std::uint64_t k = 0; k < kChips; ++k)
+      hold_chips += verdicts[k].hold_fail ? 1 : 0;
+    const TuningPlan plans[] = {
+        every_ff_plan(n, step, 1 + static_cast<int>(rng.next_below(8))),
+        random_grouped_plan(rng, n, step)};
+    const std::uint64_t yo =
+        feas::original_yield(g, t, verdicts, 1).passing;
+    for (const TuningPlan& plan : plans) {
+      const YieldEvaluator eval(g, plan, t);
+      const std::uint64_t dense =
+          reference::dense_passing(eval, sampler, kChips, 1);
+      ASSERT_EQ(eval.evaluate(verdicts, 1).passing, dense)
+          << "trial " << trial << " buffers " << plan.buffers.size();
+      judged_pass += dense - yo;
+      judged_fail += kChips - dense;
+    }
+  }
+  // The plans rescue chips, fail others, and hold failures occur.
+  EXPECT_GT(judged_pass, 1000u);
+  EXPECT_GT(judged_fail, 1000u);
+  EXPECT_GT(hold_chips, 100u);
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 //   * each chip's verdict against its dense period and hold flags;
 //   * the passing counts of Yo, our plan, top-K and allbuf, at one and at
 //     four threads, and the top-K incidence vectors;
+//   * the local-repair verdict of every chip those evaluations judge, chip
+//     by chip, for our plan, top-K and allbuf;
 //   * at periods on and around chips' own P_k, where the period MC's and
 //     arc_slack's term orders round apart, Yo and a tuned yield;
 //   * the step-1 violated lists and the verdicts on the insertion chips
@@ -190,6 +192,38 @@ TEST_P(PaperCircuitTest, YieldsMatchDenseAtTableSettings) {
       EXPECT_GE(dense, yo) << label << " T=" << t;
     }
   }
+}
+
+// A count can hide a false pass offset by a false fail, so every chip that
+// evaluate() judges is held to the dense check on its own.
+TEST_P(PaperCircuitTest, JudgeMatchesDenseOnEveryFlaggedChip) {
+  const Circuit& c = circuit(GetParam());
+  const mc::Sampler sampler(c.graph, kEvalSeed);
+  const mc::ChipVerdicts verdicts(sampler, kEvalChips, 4);
+  std::uint64_t judged = 0, rescued = 0;
+  for (const Circuit::Setting& s : c.settings) {
+    for (const auto& [label, plan] :
+         {std::pair<const char*, const feas::TuningPlan*>{"ours", &s.ours},
+          {"topK", &s.topk},
+          {"allbuf", &s.allbuf}}) {
+      const feas::YieldEvaluator eval(c.graph, *plan, s.period_ps);
+      const mc::ArcScreen screen(sampler, s.period_ps, plan->step_ps);
+      for (std::uint64_t k = 0; k < kEvalChips; ++k) {
+        const mc::ChipVerdict& v = verdicts[k];
+        if (v.untuned_at(s.period_ps, screen.rounding_band()) ==
+            mc::ChipVerdict::Untuned::passes)
+          continue;
+        ++judged;
+        const bool dense = eval.sample_feasible(sampler, k);
+        EXPECT_EQ(eval.judge(screen, k, v), dense)
+            << label << " T=" << s.period_ps << " chip " << k;
+        rescued += dense ? 1 : 0;
+      }
+    }
+  }
+  // Both verdicts occur on every circuit.
+  EXPECT_GT(rescued, 0u);
+  EXPECT_LT(rescued, judged);
 }
 
 TEST_P(PaperCircuitTest, PeriodsAtChipBoundariesMatchDense) {
