@@ -116,8 +116,8 @@ BinningReport compute_binning(const ssta::SeqGraph& graph,
   }
   const std::size_t rungs = periods_ps.size();
 
-  // One evaluator pair per rung; the constraint-graph topology is built
-  // once here, only per-sample weights change inside the loop.
+  // One evaluator pair per rung; each builds its constraint-graph topology
+  // on its first chip, and only per-sample weights change inside the loop.
   std::vector<feas::YieldEvaluator> tuned, original;
   tuned.reserve(rungs);
   original.reserve(rungs);

@@ -31,7 +31,7 @@
 //
 // Common options:
 //   -o, --output <path>   write the JSON artifact here (default: stdout)
-//   -t, --threads <n>     worker threads (default: hardware concurrency)
+//   -t, --threads <n>     parallel chunks (default: hardware concurrency)
 //       --cache-dir <dir> content-addressed result cache (run/sweep/serve);
 //                         repeated invocations skip already-solved cells
 //       --shard <i/n>     sweep/submit: sugar for the index list i, i+n,
@@ -193,7 +193,7 @@ void print_usage(std::FILE* to) {
       "\n"
       "options:\n"
       "  -o, --output <path>     write the JSON artifact to <path>\n"
-      "  -t, --threads <n>       worker threads (0 = hardware concurrency)\n"
+      "  -t, --threads <n>       parallel chunks (0 = hardware concurrency)\n"
       "      --cache-dir <dir>   enable the content-addressed result cache\n"
       "      --shard <i/n>       sweep/submit: run indices i, i+n, i+2n, ...\n"
       "      --progress          per-cell NDJSON progress lines on stderr\n"

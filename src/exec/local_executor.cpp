@@ -83,12 +83,15 @@ Outcome execute_campaign(const Request& request, Observer* observer) {
   summary.results.resize(selected.size());
   std::vector<char> cached(selected.size(), 0);
 
-  // One worker thread per concurrent cell; each cell runs its inner loops
-  // single-threaded so the batch scales with cell count.  Every worker
-  // writes only its own result slots, and slots are ordered by expansion
-  // index, so the summary is independent of scheduling.  Cache hits
-  // substitute a stored artifact for the computation — ScenarioResult JSON
-  // round trips are byte-exact, so the summary bytes cannot tell.
+  // The cells split into `workers` chunks that the compute pool runs
+  // concurrently; each cell runs its inner loops as one chunk, so the batch
+  // scales with cell count.  Every chunk writes only its own result slots,
+  // and slots are ordered by expansion index, so the summary is independent
+  // of scheduling.  A cell that throws ends its chunk; the other chunks
+  // finish, and the first failed cell's exception reaches the caller.
+  // Cache hits substitute a stored artifact for the computation —
+  // ScenarioResult JSON round trips are byte-exact, so the summary bytes
+  // cannot tell.
   const int requested =
       request.threads > 0 ? request.threads : request.campaign.threads;
   const std::size_t workers = util::resolve_thread_count(

@@ -42,18 +42,20 @@ constexpr std::uint64_t kSolveTimingStride = 64;
 
 }  // namespace
 
-void YieldEvaluator::add_static_edge(int u, int v, std::int64_t w) {
+void YieldEvaluator::DenseTopology::add_edge(int u, int v, std::int64_t w) {
   // Constraint x_u - x_v <= w: edge v -> u with weight w.
-  edge_to_.push_back(u);
-  edge_next_.push_back(head_[static_cast<std::size_t>(v)]);
-  head_[static_cast<std::size_t>(v)] =
-      static_cast<int>(edge_to_.size()) - 1;
-  weights_template_.push_back(w);
+  edge_to.push_back(u);
+  edge_next.push_back(head[static_cast<std::size_t>(v)]);
+  head[static_cast<std::size_t>(v)] = static_cast<int>(edge_to.size()) - 1;
+  weights_template.push_back(w);
 }
 
 YieldEvaluator::YieldEvaluator(const ssta::SeqGraph& graph, TuningPlan plan,
                                double clock_period_ps)
-    : graph_(&graph), plan_(std::move(plan)), clock_period_(clock_period_ps) {
+    : graph_(&graph),
+      plan_(std::move(plan)),
+      clock_period_(clock_period_ps),
+      dense_(std::make_shared<LazyDense>()) {
   CLKTUNE_EXPECTS(clock_period_ps > 0.0);
   if (plan_.group_of.size() != plan_.buffers.size()) plan_.reset_groups();
   var_of_ff_.assign(static_cast<std::size_t>(graph.num_ffs), -1);
@@ -81,38 +83,47 @@ YieldEvaluator::YieldEvaluator(const ssta::SeqGraph& graph, TuningPlan plan,
     int& slot = fill[static_cast<std::size_t>(plan_.group_of[i])];
     group_ffs_[static_cast<std::size_t>(slot++)] = plan_.buffers[i].ff;
   }
+  for (const ssta::SeqArc& arc : graph.arcs)
+    edge_arc_count_ +=
+        group_of_ff(arc.src_ff) != group_of_ff(arc.dst_ff) ? 1 : 0;
+}
 
-  // Static topology: the reference node is plan_.num_groups.
-  const int ref = plan_.num_groups;
-  head_.assign(static_cast<std::size_t>(ref) + 1, -1);
+const YieldEvaluator::DenseTopology& YieldEvaluator::dense() const {
+  std::call_once(dense_->built, [this] {
+    DenseTopology& d = dense_->topology;
+    // The reference node is plan_.num_groups.
+    const int ref = plan_.num_groups;
+    d.head.assign(static_cast<std::size_t>(ref) + 1, -1);
 
-  // Window bounds vs the reference node (weights final).
-  for (int g = 0; g < plan_.num_groups; ++g) {
-    add_static_edge(g, ref, group_windows_[static_cast<std::size_t>(g)].k_hi);
-    add_static_edge(ref, g, -group_windows_[static_cast<std::size_t>(g)].k_lo);
-  }
-
-  // Arc partition: tuning cancels on same-variable arcs (both unbuffered,
-  // or both in one group), leaving a per-sample sign test; the rest get
-  // two weight slots in the static graph.
-  for (std::size_t e = 0; e < graph.arcs.size(); ++e) {
-    const ssta::SeqArc& arc = graph.arcs[e];
-    const int vi = var_of_ff_[static_cast<std::size_t>(arc.src_ff)];
-    const int vj = var_of_ff_[static_cast<std::size_t>(arc.dst_ff)];
-    const int ui = vi < 0 ? ref : vi;
-    const int uj = vj < 0 ? ref : vj;
-    if (ui == uj) {
-      check_arcs_.push_back(static_cast<int>(e));
-      continue;
+    // Window bounds vs the reference node (weights final).
+    for (int g = 0; g < plan_.num_groups; ++g) {
+      d.add_edge(g, ref, group_windows_[static_cast<std::size_t>(g)].k_hi);
+      d.add_edge(ref, g, -group_windows_[static_cast<std::size_t>(g)].k_lo);
     }
-    EdgeArc ea;
-    ea.arc = static_cast<int>(e);
-    ea.setup_slot = static_cast<int>(weights_template_.size());
-    add_static_edge(ui, uj, 0);  // setup: x_ui - x_uj <= setup_steps
-    ea.hold_slot = static_cast<int>(weights_template_.size());
-    add_static_edge(uj, ui, 0);  // hold:  x_uj - x_ui <= hold_steps
-    edge_arcs_.push_back(ea);
-  }
+
+    // Arc partition: tuning cancels on same-variable arcs (both unbuffered,
+    // or both in one group), leaving a per-sample sign test; the rest get
+    // two weight slots in the static graph.
+    for (std::size_t e = 0; e < graph_->arcs.size(); ++e) {
+      const ssta::SeqArc& arc = graph_->arcs[e];
+      const int vi = group_of_ff(arc.src_ff);
+      const int vj = group_of_ff(arc.dst_ff);
+      const int ui = vi < 0 ? ref : vi;
+      const int uj = vj < 0 ? ref : vj;
+      if (ui == uj) {
+        d.check_arcs.push_back(static_cast<int>(e));
+        continue;
+      }
+      EdgeArc ea;
+      ea.arc = static_cast<int>(e);
+      ea.setup_slot = static_cast<int>(d.weights_template.size());
+      d.add_edge(ui, uj, 0);  // setup: x_ui - x_uj <= setup_steps
+      ea.hold_slot = static_cast<int>(d.weights_template.size());
+      d.add_edge(uj, ui, 0);  // hold:  x_uj - x_ui <= hold_steps
+      d.edge_arcs.push_back(ea);
+    }
+  });
+  return dense_->topology;
 }
 
 namespace {
@@ -233,9 +244,10 @@ template <class Delays>
 bool YieldEvaluator::solve_sample_impl(const Delays& provider,
                                        Workspace& ws) const {
   const ssta::SeqGraph& graph = *graph_;
+  const DenseTopology& d = dense();
 
   // ---- check-only arcs: sign tests with early exit ----------------------
-  for (const int e : check_arcs_) {
+  for (const int e : d.check_arcs) {
     const auto es = static_cast<std::size_t>(e);
     double late = 0.0, early = 0.0;
     provider.delays(es, late, early);
@@ -243,7 +255,7 @@ bool YieldEvaluator::solve_sample_impl(const Delays& provider,
     mc::arc_slack(graph, es, late, early, clock_period_, setup_c, hold_c);
     if (setup_c < 0.0 || hold_c < 0.0) return false;
   }
-  if (edge_arcs_.empty() && plan_.num_groups == 0) {
+  if (d.edge_arcs.empty() && plan_.num_groups == 0) {
     // No variables at all: feasible, all-zero potentials.
     ws.spfa.dist.assign(1, 0);
     return true;
@@ -251,8 +263,8 @@ bool YieldEvaluator::solve_sample_impl(const Delays& provider,
 
   // ---- edge arcs: rewrite the per-sample weights ------------------------
   const double step = plan_.step_ps;
-  ws.weights.assign(weights_template_.begin(), weights_template_.end());
-  for (const EdgeArc& ea : edge_arcs_) {
+  ws.weights.assign(d.weights_template.begin(), d.weights_template.end());
+  for (const EdgeArc& ea : d.edge_arcs) {
     const auto es = static_cast<std::size_t>(ea.arc);
     double late = 0.0, early = 0.0;
     provider.delays(es, late, early);
@@ -264,25 +276,22 @@ bool YieldEvaluator::solve_sample_impl(const Delays& provider,
         mc::floor_steps(hold_c, step);
   }
 
-  return spfa_feasible(ws);
-}
-
-bool YieldEvaluator::spfa_feasible(Workspace& ws) const {
   return spfa_potentials(
       plan_.num_groups + 1, ws.spfa,
-      [&](int v) { return head_[static_cast<std::size_t>(v)]; },
-      [&](int e) { return edge_next_[static_cast<std::size_t>(e)]; },
-      [&](int e) { return edge_to_[static_cast<std::size_t>(e)]; },
+      [&](int v) { return d.head[static_cast<std::size_t>(v)]; },
+      [&](int e) { return d.edge_next[static_cast<std::size_t>(e)]; },
+      [&](int e) { return d.edge_to[static_cast<std::size_t>(e)]; },
       [&](int e) { return ws.weights[static_cast<std::size_t>(e)]; });
 }
 
 bool YieldEvaluator::judge(const mc::ArcScreen& screen, std::uint64_t k,
                            const mc::ChipVerdict& verdict) const {
   thread_local RepairWorkspace ws;
-  // At worst every edge arc joins S and every group is a node: the static
-  // graph's edges.
-  ws.begin(graph_->arcs.size(), static_cast<std::size_t>(plan_.num_groups),
-           edge_arcs_.size(), weights_template_.size());
+  // At worst every edge arc joins S and every group is a node: two edges
+  // per group and per edge arc, as in the dense graph.
+  const auto groups = static_cast<std::size_t>(plan_.num_groups);
+  ws.begin(graph_->arcs.size(), groups, edge_arc_count_,
+           2 * (groups + edge_arc_count_));
   const ssta::SeqGraph& graph = *graph_;
   const std::array<double, ssta::kParams> z = screen.sampler().globals(k);
 
@@ -415,7 +424,7 @@ YieldResult YieldEvaluator::evaluate(const mc::ChipVerdicts& verdicts,
   const double band = screen.rounding_band();
   // With no arc between two variables tuning changes no constraint, and
   // the untuned verdict is final.
-  const bool untunable = edge_arcs_.empty();
+  const bool untunable = edge_arc_count_ == 0;
   const auto passes = [&](std::uint64_t k) {
     const mc::ChipVerdict& v = verdicts[k];
     switch (v.untuned_at(clock_period_, band)) {

@@ -5,14 +5,19 @@
 // With a fixed plan this is a pure feasibility question over difference
 // constraints (buffered flip-flops are variables, everything else is pinned
 // to zero, windows become bounds against a reference node), solved per
-// sample on grid-floored constants.  The arc partition is computed once at
-// construction:
+// sample on grid-floored constants.  The dense per-chip check
+// (sample_feasible, find_configuration) partitions the arcs on its first
+// use, once per evaluator and on whichever thread gets there first:
 //
 //   * check-only arcs — both endpoints on one variable, so tuning cancels:
 //     per sample they reduce to a sign test on the raw constants;
 //   * edge arcs — incident to a tuned group: their constraint-graph
 //     topology is static, so the SPFA graph is built once and only the two
 //     weights per arc are rewritten per sample.
+//
+// evaluate() and judge() never read that graph, so an evaluator used only
+// for yields costs O(flip-flops + buffers) to build, plus one pass over the
+// arcs that counts the edge arcs.
 //
 // evaluate() judges each chip once on the arc screen (mc/arc_screen.h).
 // Every window contains 0 — the constructor asserts it — so a chip that
@@ -45,6 +50,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -124,9 +131,6 @@ class YieldEvaluator {
 
   const TuningPlan& plan() const { return plan_; }
   double clock_period_ps() const { return clock_period_; }
-  /// Arc-partition sizes (check-only vs buffer-adjacent), for diagnostics.
-  std::size_t check_arc_count() const { return check_arcs_.size(); }
-  std::size_t edge_arc_count() const { return edge_arcs_.size(); }
 
  private:
   /// Per-thread scratch; contents carry only capacity between calls.
@@ -143,17 +147,38 @@ class YieldEvaluator {
     int hold_slot = 0;   ///< weight slot of  x_uj - x_ui <= hold
   };
 
+  /// The dense check's arc partition and static constraint graph over
+  /// num_groups + 1 nodes (the last is the pinned reference): CSR-ish
+  /// adjacency with a parallel weight template.  Window-bound weights are
+  /// final; edge-arc slots are placeholders rewritten into the workspace
+  /// copy per sample.
+  struct DenseTopology {
+    std::vector<int> check_arcs;
+    std::vector<EdgeArc> edge_arcs;
+    std::vector<int> head;
+    std::vector<int> edge_to;
+    std::vector<int> edge_next;
+    std::vector<std::int64_t> weights_template;
+
+    void add_edge(int u, int v, std::int64_t w);
+  };
+  /// The topology, built by the first dense call (pool threads call the
+  /// dense path concurrently, so the build runs once under `built`).
+  /// Copies of an evaluator share it.
+  struct LazyDense {
+    std::once_flag built;
+    DenseTopology topology;
+  };
+
+  /// The dense topology, built on first use.
+  const DenseTopology& dense() const;
   /// Feasibility of sample k; on success ws.dist holds the potentials.
   bool solve_sample(const mc::Sampler& sampler, std::uint64_t k,
                     Workspace& ws) const;
-  /// SPFA over the static topology with ws.weights filled in.
-  bool spfa_feasible(Workspace& ws) const;
   /// Per-group delay steps from a feasible workspace (reference at zero).
   std::vector<int> config_from_workspace(const Workspace& ws) const;
   template <class Delays>
   bool solve_sample_impl(const Delays& delays, Workspace& ws) const;
-
-  void add_static_edge(int u, int v, std::int64_t w);
 
   const ssta::SeqGraph* graph_;
   TuningPlan plan_;
@@ -167,18 +192,10 @@ class YieldEvaluator {
   std::vector<int> group_ff_begin_;
   std::vector<int> group_ffs_;
 
-  // Arc partition (III-style split, computed once).
-  std::vector<int> check_arcs_;
-  std::vector<EdgeArc> edge_arcs_;
-
-  // Static constraint-graph topology over num_groups + 1 nodes (the last is
-  // the pinned reference): CSR-ish adjacency with a parallel weight
-  // template.  Window-bound weights are final; edge-arc slots are
-  // placeholders rewritten into the workspace copy per sample.
-  std::vector<int> head_;
-  std::vector<int> edge_to_;
-  std::vector<int> edge_next_;
-  std::vector<std::int64_t> weights_template_;
+  /// Arcs between two different variables, the dense graph's edge arcs:
+  /// with none, tuning changes no constraint.
+  std::size_t edge_arc_count_ = 0;
+  std::shared_ptr<LazyDense> dense_;
 };
 
 /// Yield with no buffers at all (the paper's Yo).

@@ -50,10 +50,11 @@ class ResultCache;
 namespace clktune::jobs {
 
 struct JobSchedulerOptions {
-  /// Jobs executing concurrently.  Each running campaign additionally
-  /// uses `threads` cell workers of its own.
+  /// Jobs executing concurrently.  Each running job splits its cells (a
+  /// scenario job: its chips) into `threads` chunks on the process's
+  /// compute pool (util/thread_pool.h).
   std::size_t workers = 2;
-  /// Thread budget handed to each job's exec::Request (0 = hardware
+  /// Chunk count handed to each job's exec::Request (0 = hardware
   /// concurrency) — the serve daemon passes its own --threads through.
   int threads = 0;
   /// Terminal jobs retained (memory + disk) before the oldest are pruned.

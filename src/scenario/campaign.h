@@ -43,7 +43,8 @@ struct CampaignSpec {
   std::string name = "campaign";
   util::Json base = util::Json::object();  ///< base scenario document
   std::vector<SweepAxis> axes;             ///< in declaration order
-  /// Worker threads across scenarios; 0 = hardware concurrency.
+  /// Chunks of scenarios run in parallel on the compute pool
+  /// (util/thread_pool.h); 0 = hardware concurrency.
   int threads = 0;
   /// Each expanded scenario i gets sample_seed += i * seed_stride (0 keeps
   /// every scenario on the base seed).

@@ -106,7 +106,7 @@ inline constexpr std::size_t kMaxRequestBytes = std::size_t{4} << 20;
 
 struct ServeOptions {
   std::uint16_t port = 0;   ///< 0 = ephemeral (query via ScenarioServer::port)
-  int threads = 0;          ///< campaign workers; 0 = hardware concurrency
+  int threads = 0;          ///< chunks per compute; 0 = hardware concurrency
   std::string cache_dir;    ///< empty = in-memory cache only
   std::size_t cache_capacity = 256;  ///< LRU entries held in memory
   bool quiet = true;        ///< suppress per-request stderr lines

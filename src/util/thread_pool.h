@@ -1,14 +1,30 @@
-// Minimal deterministic parallel-for.  Work is split into contiguous index
-// ranges, one per worker; each worker writes only to its own accumulator, and
-// results are merged in worker order so the outcome is independent of
-// scheduling.  The paper notes the sampling flow "can be parallelized easily
-// onto multiple CPU cores" — this is that knob.
+// Deterministic parallel loops over one process-wide compute pool.
+//
+// A parallel region splits [0, n) into chunks: chunk w of
+// parallel_chunks(n, workers, fn) is the contiguous range worker w of a
+// `workers`-way split takes, and task w of parallel_strided is stride w.
+// fn receives the chunk index as its worker index, so every worker-indexed
+// partial, and every reduction over partials in index order, is the same
+// whichever thread ran the chunk and at every pool size.  `workers` is a
+// chunk count, not a thread count: it may exceed the cores.
+//
+// The pool holds hardware_concurrency - 1 threads, started once on the
+// first region that has more than one chunk; no region starts a thread
+// after that.  The caller of a region claims and runs its own region's
+// chunks while idle pool threads claim any untaken chunk of any open
+// region, so concurrent callers (daemon handlers, job workers) and a
+// region nested in a chunk all make progress.  Idle pool threads block.
+//
+// A chunk that throws ends there; every other chunk still runs to its end,
+// and once the region is over the caller rethrows the exception of the
+// lowest chunk index that threw.  The pool stays usable.
+//
+// The paper notes the sampling flow "can be parallelized easily onto
+// multiple CPU cores" — this is that knob.
 #pragma once
 
 #include <cstddef>
 #include <functional>
-#include <thread>
-#include <vector>
 
 namespace clktune::util {
 
@@ -16,9 +32,10 @@ namespace clktune::util {
 /// (at least 1).
 std::size_t resolve_thread_count(std::size_t requested);
 
-/// Invoke fn(worker_index, begin, end) on `workers` threads over [0, n)
-/// split into contiguous chunks.  Blocks until all complete.  fn must only
-/// touch worker-private state (indexed by worker_index).
+/// Invoke fn(worker_index, begin, end) for each of `workers` contiguous
+/// chunks of [0, n) (fewer when n < workers), on the caller and the pool.
+/// Blocks until all complete.  fn must only touch worker-private state
+/// (indexed by worker_index).
 void parallel_chunks(
     std::size_t n, std::size_t workers,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& fn);
@@ -37,5 +54,9 @@ void serial_chunks(
 /// worker-keyed state whose final reduction is order-independent.
 void parallel_strided(std::size_t n, std::size_t workers,
                       const std::function<void(std::size_t, std::size_t)>& fn);
+
+/// OS threads the compute pool has started in this process: 0 before the
+/// first multi-chunk region, hardware_concurrency - 1 after it.
+std::size_t pool_threads_started();
 
 }  // namespace clktune::util

@@ -65,6 +65,17 @@ Json four_cell_campaign_doc() {
   return doc;
 }
 
+/// The two-cell campaign over a bench file that does not exist: every
+/// cell throws when it builds its design.
+Json missing_bench_campaign_doc() {
+  Json doc = tiny_campaign_doc();
+  doc.set("name", "missing_bench");
+  Json design = Json::object();
+  design.set("bench_file", "no/such/circuit.bench");
+  doc.find("base")->set("design", std::move(design));
+  return doc;
+}
+
 exec::Request campaign_request() {
   return exec::Request::from_json(tiny_campaign_doc());
 }
@@ -556,6 +567,27 @@ TEST(ObserverTest, StreamsEveryCellWithGlobalIndices) {
   EXPECT_EQ(sliced.total_cells, 2u);
   EXPECT_EQ(sliced.own_cells, 1u);
   EXPECT_EQ(sliced.indices, (std::set<std::size_t>{1}));
+}
+
+TEST(LocalExecutorTest, AThrowingCellReachesTheCallerAtEveryThreadCount) {
+  exec::LocalExecutor local;
+  for (const int threads : {1, 2, 4}) {
+    exec::Request request =
+        exec::Request::from_json(missing_bench_campaign_doc());
+    request.threads = threads;
+    try {
+      (void)local.execute(request);
+      ADD_FAILURE() << "threads " << threads << ": no exception";
+    } catch (const std::exception& e) {
+      EXPECT_NE(std::string(e.what()).find("cannot open bench file"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The executor and its threads still compute the next campaign.
+  exec::Request request = campaign_request();
+  request.threads = 2;
+  EXPECT_EQ(local.execute(request).summary.results.size(), 2u);
 }
 
 TEST(ObserverTest, CancellationStopsTheCampaign) {

@@ -54,6 +54,17 @@ Json tiny_campaign_doc() {
   return doc;
 }
 
+/// The two-cell campaign over a bench file that does not exist: every
+/// cell throws when it builds its design.
+Json missing_bench_campaign_doc() {
+  Json doc = tiny_campaign_doc();
+  doc.set("name", "missing_bench");
+  Json design = Json::object();
+  design.set("bench_file", "no/such/circuit.bench");
+  doc.find("base")->set("design", std::move(design));
+  return doc;
+}
+
 bool terminal_state(const std::string& state) {
   return state == "done" || state == "error" || state == "cancelled";
 }
@@ -483,6 +494,49 @@ TEST_F(JobServiceFixture, RestartRequeuesInterruptedJobsAndFinishesThem) {
   for (std::size_t i = 0; i < 2; ++i)
     EXPECT_EQ(stream.results[i].dump(),
               reference.summary.results[i].to_json().dump());
+}
+
+TEST_F(JobServiceFixture, AThrowingCellEndsItsJobInError) {
+  const Json frame = submit_job(missing_bench_campaign_doc());
+  ASSERT_EQ(frame.at("event").as_string(), "job") << frame.dump(-1);
+  const Json failed = wait_terminal(frame.at("id").as_string());
+  ASSERT_EQ(failed.at("state").as_string(), "error") << failed.dump(-1);
+  EXPECT_NE(failed.at("error").as_string().find(
+                "cannot open no/such/circuit.bench"),
+            std::string::npos);
+
+  // The daemon still admits and runs jobs.
+  const Json next = submit_job(tiny_campaign_doc());
+  ASSERT_EQ(next.at("event").as_string(), "job");
+  EXPECT_EQ(wait_terminal(next.at("id").as_string()).at("state").as_string(),
+            "done");
+}
+
+TEST_F(JobServiceFixture, RecoveredJobWithAThrowingCellEndsInError) {
+  stop_server();
+
+  // The envelope a daemon killed while running this campaign leaves behind.
+  std::string id;
+  {
+    exec::Request request =
+        exec::Request::from_json(missing_bench_campaign_doc());
+    request.validate();
+    jobs::JobStore store((cache_dir_ / "jobs").string());
+    store.load();
+    const jobs::JobRecord rec =
+        store.create(request.document(), "campaign", request.campaign.name,
+                     {}, request.expansion_size());
+    store.set_state(rec.id, jobs::JobState::running);
+    id = rec.id;
+  }
+
+  // The restarted daemon re-runs it with no client connected; the job ends
+  // `error` and the daemon keeps answering.
+  start_server();
+  EXPECT_EQ(wait_terminal(id).at("state").as_string(), "error");
+  Json wire = Json::object();
+  wire.set("cmd", "jobs");
+  EXPECT_EQ(raw(wire).final_event.at("event").as_string(), "jobs");
 }
 
 // ----------------------------------------------------- cancel / list / status

@@ -51,6 +51,17 @@ Json tiny_campaign_doc() {
   return doc;
 }
 
+/// The two-cell campaign over a bench file that does not exist: every
+/// cell throws when it builds its design.
+Json missing_bench_campaign_doc() {
+  Json doc = tiny_campaign_doc();
+  doc.set("name", "missing_bench");
+  Json design = Json::object();
+  design.set("bench_file", "no/such/circuit.bench");
+  doc.find("base")->set("design", std::move(design));
+  return doc;
+}
+
 /// Daemon on an ephemeral port with its accept loop on a worker thread;
 /// shut down via the wire protocol (or stop() as a fallback).
 class ServerFixture : public ::testing::Test {
@@ -177,6 +188,21 @@ TEST_F(ServerFixture, MalformedAndInvalidRequestsReportErrors) {
   EXPECT_EQ(Json::parse(line).at("event").as_string(), "status");
   EXPECT_EQ(submit("status", Json()).final_event.at("event").as_string(),
             "status");
+}
+
+TEST_F(ServerFixture, AThrowingCellGetsAnErrorFrameAndTheDaemonLives) {
+  // The fixture's daemon computes a sweep's two cells in two chunks.
+  const serve::SubmitOutcome sweep =
+      submit("sweep", missing_bench_campaign_doc());
+  EXPECT_FALSE(sweep.ok());
+  ASSERT_EQ(sweep.final_event.at("event").as_string(), "error");
+  EXPECT_NE(sweep.final_event.at("message").as_string().find(
+                "cannot open no/such/circuit.bench"),
+            std::string::npos)
+      << sweep.final_event.dump(-1);
+  EXPECT_EQ(submit("status", Json()).final_event.at("event").as_string(),
+            "status");
+  EXPECT_TRUE(submit("sweep", tiny_campaign_doc()).ok());
 }
 
 TEST_F(ServerFixture, OversizedRequestLineCostsOnlyItsConnection) {

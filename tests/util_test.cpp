@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "util/histogram.h"
@@ -209,6 +216,130 @@ TEST(ParallelChunksTest, ZeroItemsIsANoop) {
   parallel_chunks(0, 4, [&](std::size_t, std::size_t begin, std::size_t end) {
     EXPECT_EQ(begin, end);
   });
+}
+
+using ChunkLoop = void (*)(
+    std::size_t, std::size_t,
+    const std::function<void(std::size_t, std::size_t, std::size_t)>&);
+
+/// Per-chunk digest of the indices each chunk visited, in visiting order:
+/// any change of a chunk's range changes its digest.
+std::vector<std::uint64_t> chunk_digests(ChunkLoop loop, std::size_t n,
+                                         std::size_t workers) {
+  std::vector<std::uint64_t> digest(workers, 0);
+  loop(n, workers, [&](std::size_t w, std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i)
+      digest[w] = digest[w] * 1000003 + i + 1;
+  });
+  return digest;
+}
+
+/// The same digests for parallel_strided, whose task w takes the indices
+/// w, w + workers, ...
+std::vector<std::uint64_t> strided_digests(std::size_t n, std::size_t workers,
+                                           bool parallel) {
+  std::vector<std::uint64_t> digest(workers, 0);
+  const auto visit = [&](std::size_t w, std::size_t i) {
+    digest[w] = digest[w] * 1000003 + i + 1;
+  };
+  if (parallel) {
+    parallel_strided(n, workers, visit);
+  } else {
+    const std::size_t tasks = std::max<std::size_t>(1, std::min(workers, n));
+    for (std::size_t w = 0; w < tasks; ++w)
+      for (std::size_t i = w; i < n; i += tasks) visit(w, i);
+  }
+  return digest;
+}
+
+TEST(ComputePoolTest, RegionsStartNoThreadAfterWarmUp) {
+  parallel_chunks(2, 2, [](std::size_t, std::size_t, std::size_t) {});
+  const std::size_t started = pool_threads_started();
+  const unsigned hw = std::thread::hardware_concurrency();
+  EXPECT_EQ(started, hw == 0 ? 0u : hw - 1u);
+
+  std::atomic<std::size_t> visited{0};
+  for (const std::size_t chunks : {1, 4, 64}) {
+    for (int region = 0; region < 1000; ++region) {
+      parallel_chunks(chunks, chunks,
+                      [&](std::size_t, std::size_t begin, std::size_t end) {
+                        visited += end - begin;
+                      });
+      parallel_strided(chunks, chunks,
+                       [&](std::size_t, std::size_t) { ++visited; });
+    }
+  }
+  EXPECT_EQ(visited.load(), 2u * 1000u * (1u + 4u + 64u));
+  EXPECT_EQ(pool_threads_started(), started);
+}
+
+TEST(ComputePoolTest, ConcurrentCallersAndNestedRegionsMatchSerialChunks) {
+  std::atomic<int> mismatches{0};
+  const auto caller = [&](std::size_t seed) {
+    for (std::size_t region = 0; region < 200; ++region) {
+      const std::size_t n = (seed * 131 + region * 17) % 300;
+      const std::size_t workers = std::size_t{1} << ((seed + region) % 7);
+      if (chunk_digests(parallel_chunks, n, workers) !=
+          chunk_digests(serial_chunks, n, workers))
+        ++mismatches;
+      if (strided_digests(n, workers, true) !=
+          strided_digests(n, workers, false))
+        ++mismatches;
+    }
+  };
+  std::vector<std::thread> callers;
+  for (std::size_t t = 0; t < 4; ++t) callers.emplace_back(caller, t);
+
+  // A region nested in each chunk of an outer region, alongside them.
+  std::vector<std::vector<std::uint64_t>> inner(4);
+  parallel_chunks(4, 4, [&](std::size_t w, std::size_t, std::size_t) {
+    inner[w] = chunk_digests(parallel_chunks, 100 + w, 8);
+  });
+  for (std::thread& t : callers) t.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  for (std::size_t w = 0; w < 4; ++w)
+    EXPECT_EQ(inner[w], chunk_digests(serial_chunks, 100 + w, 8)) << w;
+}
+
+TEST(ComputePoolTest, LowestFailedChunkReachesTheCallerAfterEveryChunkRan) {
+  for (int round = 0; round < 20; ++round) {
+    std::vector<int> ran(8, 0);
+    try {
+      parallel_chunks(8, 8, [&](std::size_t w, std::size_t, std::size_t) {
+        ran[w] = 1;
+        if (w == 3 || w == 6)
+          throw std::runtime_error("chunk " + std::to_string(w));
+      });
+      ADD_FAILURE() << "parallel_chunks swallowed the exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "chunk 3");
+    }
+    EXPECT_EQ(std::count(ran.begin(), ran.end(), 1), 8);
+
+    std::vector<int> visited(40, 0);
+    try {
+      parallel_strided(40, 4, [&](std::size_t w, std::size_t i) {
+        visited[i] = 1;
+        if (i == 37 || (w == 2 && i == 2))
+          throw std::runtime_error("index " + std::to_string(i));
+      });
+      ADD_FAILURE() << "parallel_strided swallowed the exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "index 37");  // task 1 is the lowest that threw
+    }
+    // Task 2 stops at its first index, skipping its 9 others; the other
+    // tasks run to their end.
+    EXPECT_EQ(std::count(visited.begin(), visited.end(), 1), 40 - 9);
+  }
+
+  // The pool still runs regions afterwards.
+  std::vector<int> hits(1000, 0);
+  parallel_chunks(hits.size(), 4,
+                  [&](std::size_t, std::size_t begin, std::size_t end) {
+                    for (std::size_t i = begin; i < end; ++i) ++hits[i];
+                  });
+  EXPECT_EQ(std::count(hits.begin(), hits.end(), 1), 1000);
 }
 
 TEST(YieldCiTest, ShrinksWithSamples) {
