@@ -8,13 +8,14 @@
 // whose *fastest* feasible bin it is (the sell histogram), and overall the
 // unsellable fraction and the expected sell period.
 //
-// The ladder is nearly free: each Monte-Carlo chip is drawn exactly once
-// (Sampler::evaluate — realised delays do not depend on the clock period)
-// and every rung re-evaluates the same delays against its own precomputed
-// constraint graph.  A metrics counter pair
-// (sampling passes vs rung evaluations) makes the no-per-rung-resampling
-// property observable and testable.  All tallies are integer counts summed
-// across worker partials, so reports are bit-identical for any thread
+// The ladder is nearly free: each Monte-Carlo chip's verdict (P_k, H_k;
+// mc/period_mc.h) is built once — neither depends on the clock period —
+// and every rung is two screened yields over those verdicts, Yo and the
+// plan's (feas::YieldEvaluator::evaluate).  Tuned feasibility is monotone
+// in T, so a rung's sell count is its tuned passing count less the rung
+// below's.  A metrics counter pair (sampling passes vs rung evaluations)
+// makes the no-per-rung-resampling property observable and testable.  All
+// tallies are integer counts, so reports are bit-identical for any thread
 // count.
 #pragma once
 
@@ -56,7 +57,7 @@ struct BinningReport {
 
 /// Evaluates `plan` at every period of `periods_ps` (must be strictly
 /// ascending and positive; throws util::JsonError otherwise) over `samples`
-/// fresh Monte-Carlo chips drawn with `eval_seed`.  One sampling pass total.
+/// fresh Monte-Carlo chips drawn with `eval_seed`.  One verdict pass total.
 BinningReport compute_binning(const ssta::SeqGraph& graph,
                               const feas::TuningPlan& plan,
                               const std::vector<double>& periods_ps,

@@ -27,9 +27,12 @@
 // the potentials a fresh object would (shortest-path distances are unique),
 // including after a negative-cycle bailout.
 //
-// Used for (a) yield evaluation of an inserted-buffer plan (does chip k have
-// a feasible configuration?), (b) greedy warm starts for the per-sample
-// ILPs, and (c) post-silicon configuration extraction.
+// Used for (a) the dense per-chip check of a tuning plan
+// (YieldEvaluator::sample_feasible: does chip k have a feasible
+// configuration?), (b) post-silicon configuration extraction
+// (YieldEvaluator::find_configuration, whose potentials the criticality
+// analysis reads), and (c) greedy warm starts for the per-sample ILPs
+// (core::SampleSolver).
 #pragma once
 
 #include <cstdint>

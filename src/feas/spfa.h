@@ -1,7 +1,7 @@
 // Shared SPFA (queue-based Bellman-Ford) kernel over a caller-shaped
 // adjacency, with reusable scratch.  Both difference-constraint solvers —
-// the general pooled-edge DiffConstraints and the yield evaluator's
-// static-topology graph — run on this one implementation, so the subtle
+// the general pooled-edge DiffConstraints, and the local-repair graph of
+// YieldEvaluator::judge — run on this one implementation, so the subtle
 // parts (ring-buffer queue invariants, negative-cycle detection) are
 // maintained in exactly one place.
 //

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "feas/diff_constraints.h"
+#include "feas/spfa.h"
 #include "mc/arc_constants.h"
 #include "obs/metrics.h"
 #include "util/assert.h"
@@ -42,20 +44,11 @@ constexpr std::uint64_t kSolveTimingStride = 64;
 
 }  // namespace
 
-void YieldEvaluator::DenseTopology::add_edge(int u, int v, std::int64_t w) {
-  // Constraint x_u - x_v <= w: edge v -> u with weight w.
-  edge_to.push_back(u);
-  edge_next.push_back(head[static_cast<std::size_t>(v)]);
-  head[static_cast<std::size_t>(v)] = static_cast<int>(edge_to.size()) - 1;
-  weights_template.push_back(w);
-}
-
 YieldEvaluator::YieldEvaluator(const ssta::SeqGraph& graph, TuningPlan plan,
                                double clock_period_ps)
     : graph_(&graph),
       plan_(std::move(plan)),
-      clock_period_(clock_period_ps),
-      dense_(std::make_shared<LazyDense>()) {
+      clock_period_(clock_period_ps) {
   CLKTUNE_EXPECTS(clock_period_ps > 0.0);
   if (plan_.group_of.size() != plan_.buffers.size()) plan_.reset_groups();
   var_of_ff_.assign(static_cast<std::size_t>(graph.num_ffs), -1);
@@ -88,70 +81,15 @@ YieldEvaluator::YieldEvaluator(const ssta::SeqGraph& graph, TuningPlan plan,
         group_of_ff(arc.src_ff) != group_of_ff(arc.dst_ff) ? 1 : 0;
 }
 
-const YieldEvaluator::DenseTopology& YieldEvaluator::dense() const {
-  std::call_once(dense_->built, [this] {
-    DenseTopology& d = dense_->topology;
-    // The reference node is plan_.num_groups.
-    const int ref = plan_.num_groups;
-    d.head.assign(static_cast<std::size_t>(ref) + 1, -1);
-
-    // Window bounds vs the reference node (weights final).
-    for (int g = 0; g < plan_.num_groups; ++g) {
-      d.add_edge(g, ref, group_windows_[static_cast<std::size_t>(g)].k_hi);
-      d.add_edge(ref, g, -group_windows_[static_cast<std::size_t>(g)].k_lo);
-    }
-
-    // Arc partition: tuning cancels on same-variable arcs (both unbuffered,
-    // or both in one group), leaving a per-sample sign test; the rest get
-    // two weight slots in the static graph.
-    for (std::size_t e = 0; e < graph_->arcs.size(); ++e) {
-      const ssta::SeqArc& arc = graph_->arcs[e];
-      const int vi = group_of_ff(arc.src_ff);
-      const int vj = group_of_ff(arc.dst_ff);
-      const int ui = vi < 0 ? ref : vi;
-      const int uj = vj < 0 ? ref : vj;
-      if (ui == uj) {
-        d.check_arcs.push_back(static_cast<int>(e));
-        continue;
-      }
-      EdgeArc ea;
-      ea.arc = static_cast<int>(e);
-      ea.setup_slot = static_cast<int>(d.weights_template.size());
-      d.add_edge(ui, uj, 0);  // setup: x_ui - x_uj <= setup_steps
-      ea.hold_slot = static_cast<int>(d.weights_template.size());
-      d.add_edge(uj, ui, 0);  // hold:  x_uj - x_ui <= hold_steps
-      d.edge_arcs.push_back(ea);
-    }
-  });
-  return dense_->topology;
-}
-
 namespace {
 
-/// Delay provider drawing arcs on demand — only the arcs actually visited
-/// before an early exit cost any sampling work.
-struct SampledDelays {
-  const mc::Sampler& sampler;
-  std::uint64_t k;
-  std::array<double, ssta::kParams> z;
-
-  SampledDelays(const mc::Sampler& s, std::uint64_t sample)
-      : sampler(s), k(sample), z(s.globals(sample)) {}
-
-  void delays(std::size_t e, double& late, double& early) const {
-    sampler.arc_delays(k, e, z, late, early);
-  }
-};
-
-/// Delay provider reading already drawn delays.
-struct CachedDelays {
-  mc::ArcDelaysView view;
-
-  void delays(std::size_t e, double& late, double& early) const {
-    late = view.dmax[e];
-    early = view.dmin[e];
-  }
-};
+/// Chip k's delays, drawn into per-thread scratch: valid until the
+/// thread's next draw.
+mc::ArcDelaysView draw(const mc::Sampler& sampler, std::uint64_t k) {
+  thread_local mc::ArcSample sample;
+  sampler.evaluate(k, sample);
+  return {sample.dmax.data(), sample.dmin.data(), sample.dmax.size()};
+}
 
 /// judge()'s per-thread scratch: the arc set S and its local constraint
 /// graph, whose node 0 is the reference and node n > 0 the group
@@ -240,48 +178,38 @@ struct RepairWorkspace {
 
 }  // namespace
 
-template <class Delays>
-bool YieldEvaluator::solve_sample_impl(const Delays& provider,
-                                       Workspace& ws) const {
+const std::vector<std::int64_t>* YieldEvaluator::solve_dense(
+    const mc::ArcDelaysView& delays) const {
+  thread_local DiffConstraints system;
   const ssta::SeqGraph& graph = *graph_;
-  const DenseTopology& d = dense();
-
-  // ---- check-only arcs: sign tests with early exit ----------------------
-  for (const int e : d.check_arcs) {
-    const auto es = static_cast<std::size_t>(e);
-    double late = 0.0, early = 0.0;
-    provider.delays(es, late, early);
+  // The reference node is plan_.num_groups.
+  const int ref = plan_.num_groups;
+  CLKTUNE_EXPECTS(delays.num_arcs == graph.arcs.size());
+  system.reset(ref + 1);
+  for (int g = 0; g < ref; ++g) {
+    const BufferWindow& w = group_windows_[static_cast<std::size_t>(g)];
+    system.add(g, ref, w.k_hi);
+    system.add(ref, g, -w.k_lo);
+  }
+  for (std::size_t e = 0; e < delays.num_arcs; ++e) {
+    const ssta::SeqArc& arc = graph.arcs[e];
     double setup_c = 0.0, hold_c = 0.0;
-    mc::arc_slack(graph, es, late, early, clock_period_, setup_c, hold_c);
-    if (setup_c < 0.0 || hold_c < 0.0) return false;
+    mc::arc_slack(graph, e, delays.dmax[e], delays.dmin[e], clock_period_,
+                  setup_c, hold_c);
+    const int vi = group_of_ff(arc.src_ff);
+    const int vj = group_of_ff(arc.dst_ff);
+    if (vi == vj) {
+      // Both ends on one variable: tuning cancels, leaving a sign test.
+      if (setup_c < 0.0 || hold_c < 0.0) return nullptr;
+      continue;
+    }
+    const int ui = vi < 0 ? ref : vi;
+    const int uj = vj < 0 ? ref : vj;
+    // setup: x_ui - x_uj <= setup_steps;  hold: x_uj - x_ui <= hold_steps
+    system.add(ui, uj, mc::floor_steps(setup_c, plan_.step_ps));
+    system.add(uj, ui, mc::floor_steps(hold_c, plan_.step_ps));
   }
-  if (d.edge_arcs.empty() && plan_.num_groups == 0) {
-    // No variables at all: feasible, all-zero potentials.
-    ws.spfa.dist.assign(1, 0);
-    return true;
-  }
-
-  // ---- edge arcs: rewrite the per-sample weights ------------------------
-  const double step = plan_.step_ps;
-  ws.weights.assign(d.weights_template.begin(), d.weights_template.end());
-  for (const EdgeArc& ea : d.edge_arcs) {
-    const auto es = static_cast<std::size_t>(ea.arc);
-    double late = 0.0, early = 0.0;
-    provider.delays(es, late, early);
-    double setup_c = 0.0, hold_c = 0.0;
-    mc::arc_slack(graph, es, late, early, clock_period_, setup_c, hold_c);
-    ws.weights[static_cast<std::size_t>(ea.setup_slot)] =
-        mc::floor_steps(setup_c, step);
-    ws.weights[static_cast<std::size_t>(ea.hold_slot)] =
-        mc::floor_steps(hold_c, step);
-  }
-
-  return spfa_potentials(
-      plan_.num_groups + 1, ws.spfa,
-      [&](int v) { return d.head[static_cast<std::size_t>(v)]; },
-      [&](int e) { return d.edge_next[static_cast<std::size_t>(e)]; },
-      [&](int e) { return d.edge_to[static_cast<std::size_t>(e)]; },
-      [&](int e) { return ws.weights[static_cast<std::size_t>(e)]; });
+  return system.solve_inplace();
 }
 
 bool YieldEvaluator::judge(const mc::ArcScreen& screen, std::uint64_t k,
@@ -367,47 +295,26 @@ bool YieldEvaluator::judge(const mc::ArcScreen& screen, std::uint64_t k,
   }
 }
 
-bool YieldEvaluator::solve_sample(const mc::Sampler& sampler, std::uint64_t k,
-                                  Workspace& ws) const {
-  return solve_sample_impl(SampledDelays(sampler, k), ws);
-}
-
 bool YieldEvaluator::sample_feasible(const mc::Sampler& sampler,
                                      std::uint64_t k) const {
-  thread_local Workspace ws;
-  return solve_sample(sampler, k, ws);
-}
-
-bool YieldEvaluator::sample_feasible(const mc::ArcDelaysView& delays) const {
-  thread_local Workspace ws;
-  return solve_sample_impl(CachedDelays{delays}, ws);
-}
-
-std::vector<int> YieldEvaluator::config_from_workspace(
-    const Workspace& ws) const {
-  // Normalise so the reference node sits at zero.
-  const auto ref = static_cast<std::size_t>(plan_.num_groups);
-  const std::vector<std::int64_t>& dist = ws.spfa.dist;
-  const std::int64_t base = dist.size() > ref ? dist[ref] : 0;
-  std::vector<int> config(static_cast<std::size_t>(plan_.num_groups));
-  for (int g = 0; g < plan_.num_groups; ++g)
-    config[static_cast<std::size_t>(g)] =
-        static_cast<int>(dist[static_cast<std::size_t>(g)] - base);
-  return config;
+  return solve_dense(draw(sampler, k)) != nullptr;
 }
 
 std::optional<std::vector<int>> YieldEvaluator::find_configuration(
     const mc::Sampler& sampler, std::uint64_t k) const {
-  thread_local Workspace ws;
-  if (!solve_sample(sampler, k, ws)) return std::nullopt;
-  return config_from_workspace(ws);
+  return find_configuration(draw(sampler, k));
 }
 
 std::optional<std::vector<int>> YieldEvaluator::find_configuration(
     const mc::ArcDelaysView& delays) const {
-  thread_local Workspace ws;
-  if (!solve_sample_impl(CachedDelays{delays}, ws)) return std::nullopt;
-  return config_from_workspace(ws);
+  const std::vector<std::int64_t>* dist = solve_dense(delays);
+  if (dist == nullptr) return std::nullopt;
+  // Normalise so the reference node sits at zero.
+  const std::int64_t base = (*dist)[static_cast<std::size_t>(plan_.num_groups)];
+  std::vector<int> config(static_cast<std::size_t>(plan_.num_groups));
+  for (std::size_t g = 0; g < config.size(); ++g)
+    config[g] = static_cast<int>((*dist)[g] - base);
+  return config;
 }
 
 YieldResult YieldEvaluator::evaluate(const mc::Sampler& sampler,

@@ -6,18 +6,12 @@
 // constraints (buffered flip-flops are variables, everything else is pinned
 // to zero, windows become bounds against a reference node), solved per
 // sample on grid-floored constants.  The dense per-chip check
-// (sample_feasible, find_configuration) partitions the arcs on its first
-// use, once per evaluator and on whichever thread gets there first:
-//
-//   * check-only arcs — both endpoints on one variable, so tuning cancels:
-//     per sample they reduce to a sign test on the raw constants;
-//   * edge arcs — incident to a tuned group: their constraint-graph
-//     topology is static, so the SPFA graph is built once and only the two
-//     weights per arc are rewritten per sample.
-//
-// evaluate() and judge() never read that graph, so an evaluator used only
-// for yields costs O(flip-flops + buffers) to build, plus one pass over the
-// arcs that counts the edge arcs.
+// (sample_feasible, find_configuration) is one feas::DiffConstraints system
+// per drawn chip, filled in per-thread scratch: the window edges, a raw
+// sign test for an arc inside one variable (tuning cancels on it), and two
+// floored edges for every other arc.  evaluate() and judge() never build
+// it, so an evaluator costs O(flip-flops + buffers) to build, plus one pass
+// over the arcs that counts the arcs between two variables.
 //
 // evaluate() judges each chip once on the arc screen (mc/arc_screen.h).
 // Every window contains 0 — the constructor asserts it — so a chip that
@@ -50,12 +44,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <vector>
 
-#include "feas/spfa.h"
 #include "feas/tuning_plan.h"
 #include "mc/arc_screen.h"
 #include "mc/delay_cache.h"
@@ -80,12 +71,9 @@ class YieldEvaluator {
                  double clock_period_ps);
 
   /// Does sample k (drawn via `sampler`) admit a feasible configuration?
-  /// Draws arcs on demand, check-only arcs first with early exit.  Zero
-  /// heap allocations in steady state (per-thread workspace).
+  /// Draws every arc of the chip, then runs the dense check.  Zero heap
+  /// allocations in steady state (per-thread scratch).
   bool sample_feasible(const mc::Sampler& sampler, std::uint64_t k) const;
-
-  /// Same question over already drawn delays.
-  bool sample_feasible(const mc::ArcDelaysView& delays) const;
 
   /// Same question on the arc screen, for chip k with verdict `verdict`, by
   /// local repair; `screen` must be at this evaluator's period and the
@@ -133,52 +121,12 @@ class YieldEvaluator {
   double clock_period_ps() const { return clock_period_; }
 
  private:
-  /// Per-thread scratch; contents carry only capacity between calls.
-  struct Workspace {
-    std::vector<std::int64_t> weights;
-    SpfaScratch spfa;
-  };
-
-  /// A buffer-adjacent arc: its constraint edges live at fixed slots of the
-  /// static SPFA graph; only the weights change per sample.
-  struct EdgeArc {
-    int arc = 0;         ///< index into graph.arcs
-    int setup_slot = 0;  ///< weight slot of  x_ui - x_uj <= setup
-    int hold_slot = 0;   ///< weight slot of  x_uj - x_ui <= hold
-  };
-
-  /// The dense check's arc partition and static constraint graph over
-  /// num_groups + 1 nodes (the last is the pinned reference): CSR-ish
-  /// adjacency with a parallel weight template.  Window-bound weights are
-  /// final; edge-arc slots are placeholders rewritten into the workspace
-  /// copy per sample.
-  struct DenseTopology {
-    std::vector<int> check_arcs;
-    std::vector<EdgeArc> edge_arcs;
-    std::vector<int> head;
-    std::vector<int> edge_to;
-    std::vector<int> edge_next;
-    std::vector<std::int64_t> weights_template;
-
-    void add_edge(int u, int v, std::int64_t w);
-  };
-  /// The topology, built by the first dense call (pool threads call the
-  /// dense path concurrently, so the build runs once under `built`).
-  /// Copies of an evaluator share it.
-  struct LazyDense {
-    std::once_flag built;
-    DenseTopology topology;
-  };
-
-  /// The dense topology, built on first use.
-  const DenseTopology& dense() const;
-  /// Feasibility of sample k; on success ws.dist holds the potentials.
-  bool solve_sample(const mc::Sampler& sampler, std::uint64_t k,
-                    Workspace& ws) const;
-  /// Per-group delay steps from a feasible workspace (reference at zero).
-  std::vector<int> config_from_workspace(const Workspace& ws) const;
-  template <class Delays>
-  bool solve_sample_impl(const Delays& delays, Workspace& ws) const;
+  /// The dense check over one chip's delays: its shortest-path potentials
+  /// (the reference node, num_groups, last), or nullptr when no
+  /// configuration exists.  The pointee is per-thread scratch, valid until
+  /// the thread's next call.
+  const std::vector<std::int64_t>* solve_dense(
+      const mc::ArcDelaysView& delays) const;
 
   const ssta::SeqGraph* graph_;
   TuningPlan plan_;
@@ -192,10 +140,9 @@ class YieldEvaluator {
   std::vector<int> group_ff_begin_;
   std::vector<int> group_ffs_;
 
-  /// Arcs between two different variables, the dense graph's edge arcs:
-  /// with none, tuning changes no constraint.
+  /// Arcs between two different variables: with none, tuning changes no
+  /// constraint.
   std::size_t edge_arc_count_ = 0;
-  std::shared_ptr<LazyDense> dense_;
 };
 
 /// Yield with no buffers at all (the paper's Yo).

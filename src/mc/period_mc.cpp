@@ -4,15 +4,6 @@
 
 namespace clktune::mc {
 
-namespace {
-
-std::size_t workers_for(int threads) {
-  return util::resolve_thread_count(
-      threads <= 0 ? 0 : static_cast<std::size_t>(threads));
-}
-
-}  // namespace
-
 ChipVerdicts::ChipVerdicts(const Sampler& sampler, std::uint64_t samples,
                            int threads)
     : sampler_(&sampler), verdicts_(static_cast<std::size_t>(samples)) {
@@ -20,34 +11,28 @@ ChipVerdicts::ChipVerdicts(const Sampler& sampler, std::uint64_t samples,
   // and its rounding allowances carry no period term.
   const ArcScreen screen(sampler, 0.0, 1.0, ArcScreen::Pass::verdict);
   util::parallel_chunks(
-      verdicts_.size(), workers_for(threads),
+      verdicts_.size(),
+      util::resolve_thread_count(
+          threads <= 0 ? 0 : static_cast<std::size_t>(threads)),
       [&](std::size_t, std::size_t begin, std::size_t end) {
         for (std::size_t k = begin; k < end; ++k)
           verdicts_[k] = screen.verdict(k);
       });
 }
 
-PeriodStats ChipVerdicts::period_stats(int threads) const {
+PeriodStats ChipVerdicts::period_stats() const {
   PeriodStats total;
-  util::serial_chunks(
-      verdicts_.size(), workers_for(threads),
-      [&](std::size_t, std::size_t begin, std::size_t end) {
-        PeriodStats part;
-        for (std::size_t k = begin; k < end; ++k) {
-          part.period.add(verdicts_[k].period);
-          part.hold_failures += verdicts_[k].period_hold_fail ? 1 : 0;
-          ++part.samples;
-        }
-        total.period.merge(part.period);
-        total.hold_failures += part.hold_failures;
-        total.samples += part.samples;
-      });
+  for (const ChipVerdict& v : verdicts_) {
+    total.period.add(v.period);
+    total.hold_failures += v.period_hold_fail ? 1 : 0;
+  }
+  total.samples = verdicts_.size();
   return total;
 }
 
 PeriodStats sample_min_period(const Sampler& sampler, std::uint64_t samples,
                               int threads) {
-  return ChipVerdicts(sampler, samples, threads).period_stats(threads);
+  return ChipVerdicts(sampler, samples, threads).period_stats();
 }
 
 }  // namespace clktune::mc

@@ -45,11 +45,9 @@ class ChipVerdicts {
     return verdicts_[static_cast<std::size_t>(k)];
   }
 
-  /// The minimum-period distribution and hold-failure count.  The moments
-  /// are accumulated over the same per-worker chunks, merged in the same
-  /// order, as a chunked parallel loop over `threads` workers would, so
-  /// their bits match sample_min_period's at that thread count.
-  PeriodStats period_stats(int threads = 0) const;
+  /// The minimum-period distribution and hold-failure count, folded in
+  /// chip order, so its bits do not depend on the thread count.
+  PeriodStats period_stats() const;
 
  private:
   const Sampler* sampler_;
@@ -57,8 +55,8 @@ class ChipVerdicts {
 };
 
 /// Samples the minimum feasible period (setup-limited, x = 0) and counts
-/// zero-tuning hold violations.  Deterministic in (sampler seed, samples,
-/// threads).
+/// zero-tuning hold violations.  Deterministic in (sampler seed, samples);
+/// `threads` only spreads the verdict pass.
 PeriodStats sample_min_period(const Sampler& sampler, std::uint64_t samples,
                               int threads = 0);
 

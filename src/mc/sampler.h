@@ -18,8 +18,8 @@
 namespace clktune::mc {
 
 /// Per-sample realised arc delays: the dense draw the screened judgements
-/// are checked against, and what the per-chip analyses that read every arc
-/// (criticality, binning) work on.
+/// are checked against, and what the dense per-chip check and the
+/// criticality analysis, which read every arc, work on.
 struct ArcSample {
   std::vector<double> dmax;
   std::vector<double> dmin;

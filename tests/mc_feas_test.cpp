@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <optional>
 #include <vector>
@@ -100,12 +101,20 @@ TEST(PeriodMcTest, MomentsStableAndHoldSafe) {
   EXPECT_LT(static_cast<double>(stats.hold_failures) / 4000.0, 0.03);
 }
 
+// The moments set the clock period of every run, so the thread count must
+// not move a bit of them.
 TEST(PeriodMcTest, ThreadCountDoesNotChangeResult) {
   const mc::Sampler sampler(test_graph(), 33);
   const mc::PeriodStats seq = mc::sample_min_period(sampler, 1000, 1);
-  const mc::PeriodStats par = mc::sample_min_period(sampler, 1000, 4);
-  EXPECT_NEAR(seq.mu(), par.mu(), 1e-9);
-  EXPECT_NEAR(seq.sigma(), par.sigma(), 1e-9);
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const int threads : {4, 16}) {
+    const mc::PeriodStats par = mc::sample_min_period(sampler, 1000, threads);
+    EXPECT_EQ(bits(seq.mu()), bits(par.mu())) << threads;
+    EXPECT_EQ(bits(seq.sigma()), bits(par.sigma())) << threads;
+    EXPECT_EQ(bits(seq.period.min()), bits(par.period.min())) << threads;
+    EXPECT_EQ(bits(seq.period.max()), bits(par.period.max())) << threads;
+    EXPECT_EQ(seq.hold_failures, par.hold_failures) << threads;
+  }
 }
 
 TEST(PeriodMcTest, OriginalYieldAtDerivedPeriods) {
@@ -565,6 +574,45 @@ TEST(YieldEvaluatorTest, LocalRepairMatchesDenseOnRandomGraphs) {
   EXPECT_GT(judged_pass, 1000u);
   EXPECT_GT(judged_fail, 1000u);
   EXPECT_GT(hold_chips, 100u);
+}
+
+// Binning takes a chip's sell bin from differences of passing counts, which
+// is exact only if a chip that passes at T1 passes at every T2 > T1: the
+// setup constants rise with T and the hold constants do not read it.
+// Checked chip by chip with the dense check, untuned and under a grouped
+// plan, on random small graphs and periods a few steps apart.
+TEST(YieldEvaluatorTest, FeasibilityIsMonotoneInThePeriod) {
+  util::SplitMix64 rng(1705);
+  constexpr std::uint64_t kChips = 200;
+  std::uint64_t gained = 0, kept = 0;
+  for (int trial = 0; trial < 30; ++trial) {
+    const int n = 3 + static_cast<int>(rng.next_below(10));
+    const int m = n + static_cast<int>(rng.next_below(
+                          static_cast<std::uint64_t>(3 * n)));
+    const ssta::SeqGraph g = random_graph(rng, n, m);
+    const mc::Sampler sampler(g, 2000 + static_cast<std::uint64_t>(trial));
+    const mc::PeriodStats ps = mc::sample_min_period(sampler, kChips, 1);
+    const double step = rng.next_double(0.5, 3.0);
+    const double t1 = ps.mu() + rng.next_double(-1.0, 1.0) * ps.sigma();
+    const double t2 = t1 + rng.next_double(0.0, 3.0) * step;
+    for (const TuningPlan& plan :
+         {reference::no_buffers(), random_grouped_plan(rng, n, step)}) {
+      const YieldEvaluator slow(g, plan, t2), fast(g, plan, t1);
+      for (std::uint64_t k = 0; k < kChips; ++k) {
+        const bool at_t2 = slow.sample_feasible(sampler, k);
+        if (!fast.sample_feasible(sampler, k)) {
+          gained += at_t2 ? 1 : 0;
+          continue;
+        }
+        ++kept;
+        ASSERT_TRUE(at_t2) << "trial " << trial << " chip " << k << " T1="
+                           << t1 << " T2=" << t2;
+      }
+    }
+  }
+  // Both cases occur: chips pass at both periods, and others only at T2.
+  EXPECT_GT(kept, 1000u);
+  EXPECT_GT(gained, 100u);
 }
 
 }  // namespace

@@ -11,11 +11,13 @@
 #include <cstdint>
 #include <vector>
 
+#include "analysis/binning.h"
 #include "feas/yield_eval.h"
 #include "mc/arc_constants.h"
 #include "mc/period_mc.h"
 #include "mc/sampler.h"
 #include "ssta/seq_graph.h"
+#include "util/stats.h"
 #include "util/thread_pool.h"
 
 namespace clktune::reference {
@@ -73,31 +75,18 @@ inline bool dense_hold_fail(const ssta::SeqGraph& graph,
   return false;
 }
 
-/// The period MC drawing every arc: per worker chunk, the chips' minimum
-/// periods and hold failures, merged in worker order.
+/// The period MC drawing every arc: the chips' minimum periods and hold
+/// failures, folded in chip order.
 inline mc::PeriodStats dense_min_period(const mc::Sampler& sampler,
-                                        std::uint64_t samples, int threads) {
+                                        std::uint64_t samples) {
   const ssta::SeqGraph& graph = sampler.graph();
-  const std::size_t workers = util::resolve_thread_count(
-      threads <= 0 ? 0 : static_cast<std::size_t>(threads));
-  std::vector<mc::PeriodStats> partial(workers);
-  util::parallel_chunks(
-      static_cast<std::size_t>(samples), workers,
-      [&](std::size_t w, std::size_t begin, std::size_t end) {
-        mc::ArcSample sample;
-        mc::PeriodStats& acc = partial[w];
-        for (std::size_t k = begin; k < end; ++k) {
-          sampler.evaluate(k, sample);
-          acc.period.add(dense_period(graph, sample));
-          acc.hold_failures += dense_period_hold_fail(graph, sample) ? 1 : 0;
-          ++acc.samples;
-        }
-      });
   mc::PeriodStats total;
-  for (const mc::PeriodStats& p : partial) {
-    total.period.merge(p.period);
-    total.hold_failures += p.hold_failures;
-    total.samples += p.samples;
+  mc::ArcSample sample;
+  for (std::uint64_t k = 0; k < samples; ++k) {
+    sampler.evaluate(k, sample);
+    total.period.add(dense_period(graph, sample));
+    total.hold_failures += dense_period_hold_fail(graph, sample) ? 1 : 0;
+    ++total.samples;
   }
   return total;
 }
@@ -125,6 +114,100 @@ inline feas::TuningPlan no_buffers() {
   plan.step_ps = 1.0;
   plan.reset_groups();
   return plan;
+}
+
+/// A yield result of `passing` chips among `samples`, as evaluate() fills
+/// it.
+inline feas::YieldResult dense_result(std::uint64_t passing,
+                                      std::uint64_t samples) {
+  feas::YieldResult r;
+  r.passing = passing;
+  r.samples = samples;
+  r.yield = samples == 0 ? 0.0
+                         : static_cast<double>(passing) /
+                               static_cast<double>(samples);
+  r.ci95 = util::yield_ci95(r.yield, samples);
+  return r;
+}
+
+/// The binning ladder judged chip by chip: each chip is drawn once, every
+/// rung decides it with find_configuration for no buffers and for `plan`,
+/// and it sells at its first feasible tuned rung.  Per-worker counts,
+/// summed in worker order.
+inline analysis::BinningReport dense_binning(
+    const ssta::SeqGraph& graph, const feas::TuningPlan& plan,
+    const std::vector<double>& periods_ps, std::uint64_t eval_seed,
+    std::uint64_t samples, int threads = 4) {
+  const std::size_t rungs = periods_ps.size();
+  std::vector<feas::YieldEvaluator> original, tuned;
+  for (const double period : periods_ps) {
+    original.emplace_back(graph, no_buffers(), period);
+    tuned.emplace_back(graph, plan, period);
+  }
+  const mc::Sampler sampler(graph, eval_seed);
+  struct Counts {
+    std::vector<std::uint64_t> original, tuned, sell;
+    std::uint64_t unsellable = 0;
+  };
+  const Counts zero{std::vector<std::uint64_t>(rungs, 0),
+                    std::vector<std::uint64_t>(rungs, 0),
+                    std::vector<std::uint64_t>(rungs, 0), 0};
+  std::vector<Counts> partial(static_cast<std::size_t>(threads), zero);
+  util::parallel_chunks(
+      static_cast<std::size_t>(samples), static_cast<std::size_t>(threads),
+      [&](std::size_t w, std::size_t begin, std::size_t end) {
+        Counts& p = partial[w];
+        mc::ArcSample sample;
+        for (std::size_t k = begin; k < end; ++k) {
+          sampler.evaluate(k, sample);
+          const mc::ArcDelaysView view{sample.dmax.data(),
+                                       sample.dmin.data(), sample.dmax.size()};
+          bool sold = false;
+          for (std::size_t r = 0; r < rungs; ++r) {
+            p.original[r] +=
+                original[r].find_configuration(view).has_value() ? 1 : 0;
+            const bool ok = tuned[r].find_configuration(view).has_value();
+            p.tuned[r] += ok ? 1 : 0;
+            if (ok && !sold) {
+              ++p.sell[r];
+              sold = true;
+            }
+          }
+          if (!sold) ++p.unsellable;
+        }
+      });
+  Counts total = zero;
+  for (const Counts& p : partial) {
+    for (std::size_t r = 0; r < rungs; ++r) {
+      total.original[r] += p.original[r];
+      total.tuned[r] += p.tuned[r];
+      total.sell[r] += p.sell[r];
+    }
+    total.unsellable += p.unsellable;
+  }
+
+  analysis::BinningReport report;
+  report.samples = samples;
+  report.eval_seed = eval_seed;
+  report.unsellable = total.unsellable;
+  const double denom = samples == 0 ? 1.0 : static_cast<double>(samples);
+  report.unsellable_fraction = static_cast<double>(total.unsellable) / denom;
+  std::uint64_t sellable = 0;
+  double sell_period_sum = 0.0;
+  for (std::size_t r = 0; r < rungs; ++r) {
+    analysis::BinYield bin;
+    bin.period_ps = periods_ps[r];
+    bin.original = dense_result(total.original[r], samples);
+    bin.tuned = dense_result(total.tuned[r], samples);
+    bin.sell = total.sell[r];
+    bin.sell_fraction = static_cast<double>(bin.sell) / denom;
+    sellable += bin.sell;
+    sell_period_sum += static_cast<double>(bin.sell) * bin.period_ps;
+    report.bins.push_back(bin);
+  }
+  report.expected_sell_period_ps =
+      sellable == 0 ? 0.0 : sell_period_sum / static_cast<double>(sellable);
+  return report;
 }
 
 /// Per-flip-flop count of raw setup violations at x = 0, every arc of

@@ -5,7 +5,7 @@
 // comparison is exact:
 //
 //   * the period MC's moments bit for bit, and its hold-failure count, at
-//     one and at four threads;
+//     one and at four threads, against one fold in chip order;
 //   * each chip's verdict against its dense period and hold flags;
 //   * the passing counts of Yo, our plan, top-K and allbuf, at one and at
 //     four threads, and the top-K incidence vectors;
@@ -13,6 +13,8 @@
 //     by chip, for our plan, top-K and allbuf;
 //   * at periods on and around chips' own P_k, where the period MC's and
 //     arc_slack's term orders round apart, Yo and a tuned yield;
+//   * the binning report of our plan and of top-K on a four-rung ladder,
+//     byte for byte, at one and at four threads;
 //   * the step-1 violated lists and the verdicts on the insertion chips
 //     and on chips from every width-table bucket up to radius 6, and the
 //     width tables themselves against the bound at each bucket's worst
@@ -28,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/binning.h"
 #include "core/baselines.h"
 #include "core/engine.h"
 #include "core/insertion_config.h"
@@ -124,11 +127,11 @@ class PaperCircuitTest : public ::testing::TestWithParam<int> {};
 TEST_P(PaperCircuitTest, PeriodMcMatchesDenseBitwise) {
   const Circuit& c = circuit(GetParam());
   const mc::Sampler sampler(c.graph, kPeriodSeed);
+  const mc::PeriodStats dense =
+      reference::dense_min_period(sampler, kPeriodChips);
   for (const int threads : {1, 4}) {
     const mc::PeriodStats screened =
         mc::sample_min_period(sampler, kPeriodChips, threads);
-    const mc::PeriodStats dense =
-        reference::dense_min_period(sampler, kPeriodChips, threads);
     EXPECT_TRUE(same_bits(screened.mu(), dense.mu())) << threads;
     EXPECT_TRUE(same_bits(screened.sigma(), dense.sigma())) << threads;
     EXPECT_TRUE(same_bits(screened.period.min(), dense.period.min()))
@@ -252,6 +255,34 @@ TEST_P(PaperCircuitTest, PeriodsAtChipBoundariesMatchDense) {
     }
   }
   EXPECT_EQ(boundaries, 4);
+}
+
+// The ladder's counts come from screened yields and its sell histogram
+// from differences of them; the reference draws each chip once and decides
+// every rung with the dense check.  A report equal to it byte for byte
+// pins Yo and Y at every rung and each chip's fastest feasible bin.
+TEST_P(PaperCircuitTest, BinningMatchesDensePerRung) {
+  const Circuit& c = circuit(GetParam());
+  const double mu = c.period.mu(), sigma = c.period.sigma();
+  const std::vector<double> ladder = {mu - sigma, mu, mu + sigma,
+                                      mu + 2.0 * sigma};
+  const Circuit::Setting& s = c.settings.front();
+  for (const auto& [label, plan] :
+       {std::pair<const char*, const feas::TuningPlan*>{"ours", &s.ours},
+        {"topK", &s.topk}}) {
+    const std::string dense =
+        reference::dense_binning(c.graph, *plan, ladder, kEvalSeed,
+                                 kEvalChips)
+            .to_json()
+            .dump();
+    for (const int threads : {1, 4})
+      EXPECT_EQ(analysis::compute_binning(c.graph, *plan, ladder, kEvalSeed,
+                                          kEvalChips, threads)
+                    .to_json()
+                    .dump(),
+                dense)
+          << label << " threads=" << threads;
+  }
 }
 
 double norm(const std::array<double, ssta::kParams>& z) {
