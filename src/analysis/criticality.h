@@ -8,10 +8,12 @@
 // (PAPERS.md), criticality is computed twice per chip:
 //
 //   * before tuning — raw slacks at x = 0;
-//   * after tuning — slacks under the chip's best feasible buffer
-//     configuration (found with the same SPFA solver the yield evaluator
-//     uses); chips with no feasible configuration keep their untuned
-//     binding arc and are counted in `untunable`.
+//   * after tuning — slacks under one feasible buffer configuration of the
+//     chip: YieldEvaluator::find_configuration's shortest-path potentials
+//     from the all-zero start, normalised so the reference sits at 0.  That
+//     is a feasible configuration, not a best one.  Chips with no feasible
+//     configuration keep their untuned binding arc and are counted in
+//     `untunable`.
 //
 // All statistics are integer sample counts summed across worker partials,
 // so reports are bit-identical regardless of thread count — the same

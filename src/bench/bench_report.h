@@ -41,7 +41,6 @@ class BenchReport {
 
   /// Monte-Carlo sample problems processed (solves, yield checks, draws).
   void count_samples(std::uint64_t n) { samples_ += n; }
-  void count_milp_nodes(std::uint64_t n) { milp_nodes_ += n; }
   /// One engine run: its configured sample count plus its MILP nodes.
   void count_insertion(const core::InsertionResult& res,
                        std::uint64_t samples) {

@@ -50,21 +50,6 @@ SampleSolver::SampleSolver(const ssta::SeqGraph& graph, double step_ps,
   }
 }
 
-void SampleSolver::arc_constants(const mc::ArcSample& arc_sample,
-                                 std::vector<std::int64_t>& setup_steps,
-                                 std::vector<std::int64_t>& hold_steps) const {
-  const ssta::SeqGraph& g = *graph_;
-  setup_steps.resize(g.arcs.size());
-  hold_steps.resize(g.arcs.size());
-  for (std::size_t e = 0; e < g.arcs.size(); ++e) {
-    double setup_c = 0.0, hold_c = 0.0;
-    mc::arc_slack(g, e, arc_sample.dmax[e], arc_sample.dmin[e], clock_period_,
-                  setup_c, hold_c);
-    setup_steps[e] = mc::floor_steps(setup_c, step_ps_);
-    hold_steps[e] = mc::floor_steps(hold_c, step_ps_);
-  }
-}
-
 namespace {
 
 /// Model variables of one component subproblem.

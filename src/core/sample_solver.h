@@ -157,13 +157,6 @@ class SampleSolver {
   SampleSolution solve(const mc::ArcSample& arc_sample, ConcentrateMode mode,
                        const std::vector<double>* targets = nullptr) const;
 
-  /// Integer constraint constants for sample arcs (exposed for tests):
-  /// setup:  x_i - x_j <= setup_steps[e];  hold:  x_j - x_i <= hold_steps[e].
-  /// Delegates to the shared mc::floor_steps quantizer.
-  void arc_constants(const mc::ArcSample& arc_sample,
-                     std::vector<std::int64_t>& setup_steps,
-                     std::vector<std::int64_t>& hold_steps) const;
-
   const CandidateWindows& windows() const { return windows_; }
   double step_ps() const { return step_ps_; }
   double clock_period_ps() const { return clock_period_; }

@@ -1,6 +1,5 @@
 // Difference-constraint feasibility via SPFA (queue-based Bellman-Ford)
-// with exact negative-cycle detection by Tarjan's subtree disassembly (see
-// feas/spfa.h).
+// with exact negative-cycle detection: the program's one constraint graph.
 //
 // A system of constraints  x_u - x_v <= w  is feasible iff its constraint
 // graph (edge v -> u with weight w) has no negative cycle; shortest-path
@@ -9,37 +8,49 @@
 // exist whenever real ones do — which is why flooring the timing constants
 // to the buffer-step grid preserves exactness for the discrete tunings.
 //
+// Negative cycles are found by Tarjan's subtree disassembly (Cherkassky &
+// Goldberg, "Negative-cycle detection algorithms", Math. Prog. 1999).  The
+// solver keeps the shortest-path tree under an implicit super-source as a
+// preorder thread with depths, and holds these invariants:
+//   * tree edges are tight: a child's distance is its parent's plus the
+//     edge weight, so a node's distance is the length of its tree path;
+//   * improving u detaches u's strict descendants, whose distances are now
+//     known to improve through u; detached nodes are skipped when dequeued
+//     and rejoin the tree only by improving;
+//   * improving u through v while v lies in u's subtree closes a cycle of
+//     length d(v) - d(u) + w < 0, which is reported at once.  A negative
+//     self-loop is the case v == u;
+//   * on a feasible system the run ends with every node in the tree and
+//     every edge satisfied, i.e. with the exact shortest-path potentials
+//     from the all-zero start.
 // The verdict is exact for any edge multiset, including parallel
-// constraints, zero-weight cycles and self-constraints x_u - x_u <= w
-// (infeasible iff w < 0: a negative self-loop).  The detector keeps the
-// shortest-path tree's edges tight, skips nodes detached from it, and
-// reports a cycle only when a relaxation would close one, so an infeasible
-// system costs about as much as a feasible one.  A feasible system yields
-// the exact shortest-path potentials from the all-zero start.
+// constraints, zero-weight cycles and self-constraints x_u - x_u <= w, and
+// an infeasible system is rejected as soon as a relaxation closes a cycle,
+// so it costs about as much as a feasible one.
 //
-// The object is a reusable workspace: reset() rewinds it in O(1) amortised
-// time via epoch stamping (per-node adjacency heads are lazily invalidated,
-// the edge pool keeps its capacity), and solve_inplace() reuses internal
-// SPFA scratch (distances, a ring-buffer queue, the tree's preorder thread),
-// so the steady-state Monte-Carlo inner loops that build one small system
-// per sample perform zero heap allocations.  Results are independent of
-// workspace history: a system solved from a dirty workspace yields exactly
-// the potentials a fresh object would (shortest-path distances are unique),
-// including after a negative-cycle bailout.
+// The object is a reusable workspace: reset() and add_node() keep the
+// capacity of the adjacency, the edge pool and the SPFA scratch (distances,
+// a ring-buffer queue, the tree's preorder thread), and every solve
+// reinitialises that scratch for all nodes, so the steady-state
+// Monte-Carlo inner loops that build one small system per sample perform
+// zero heap allocations.  Results are independent of workspace history: a
+// system solved from a dirty workspace yields exactly the potentials a
+// fresh object would (shortest-path distances are unique), including after
+// a negative-cycle bailout.
 //
 // Used for (a) the dense per-chip check of a tuning plan
 // (YieldEvaluator::sample_feasible: does chip k have a feasible
 // configuration?), (b) post-silicon configuration extraction
 // (YieldEvaluator::find_configuration, whose potentials the criticality
-// analysis reads), and (c) greedy warm starts for the per-sample ILPs
-// (core::SampleSolver).
+// analysis reads), (c) the local repair of a chip that fails untuned
+// (YieldEvaluator::judge, which grows its system node by node) and (d)
+// greedy warm starts for the per-sample ILPs (core::SampleSolver).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
-
-#include "feas/spfa.h"
 
 namespace clktune::feas {
 
@@ -48,12 +59,18 @@ class DiffConstraints {
   DiffConstraints() = default;
   explicit DiffConstraints(int num_nodes) { reset(num_nodes); }
 
-  /// Rewinds to an empty system over `num_nodes` nodes.  Keeps all buffer
-  /// capacity; previously added edges become unreachable via epoch
-  /// stamping, so the cost is O(1) plus any one-time growth.
+  /// Rewinds to an empty system over `num_nodes` nodes, keeping all buffer
+  /// capacity.
   void reset(int num_nodes);
 
-  int num_nodes() const { return num_nodes_; }
+  /// Adds a node with no constraint and returns its index.
+  int add_node();
+
+  /// Capacity for systems of up to `nodes` nodes and `edges` constraints,
+  /// so building and solving them allocates nothing.
+  void reserve(std::size_t nodes, std::size_t edges);
+
+  int num_nodes() const { return static_cast<int>(head_.size()); }
   int num_edges() const { return static_cast<int>(edges_.size()); }
 
   /// Adds constraint x_u - x_v <= w.
@@ -77,26 +94,23 @@ class DiffConstraints {
   }
 
  private:
+  /// Edge v -> to of weight w for a constraint x_to - x_v <= w; `next` is
+  /// v's next edge, or -1.
   struct Edge {
-    int to = 0;
     std::int64_t weight = 0;
+    int to = 0;
     int next = -1;
   };
 
-  int head(int v) const {
-    return head_epoch_[static_cast<std::size_t>(v)] == epoch_
-               ? head_[static_cast<std::size_t>(v)]
-               : -1;
-  }
-
-  int num_nodes_ = 0;
-  std::uint64_t epoch_ = 0;
-  // Adjacency: edge (v -> u, w) per constraint x_u - x_v <= w.  head_[v] is
-  // meaningful only when head_epoch_[v] == epoch_.
-  std::vector<int> head_;
-  std::vector<std::uint64_t> head_epoch_;
+  std::vector<int> head_;    ///< first edge per node, or -1
   std::vector<Edge> edges_;  ///< pooled; cleared (capacity kept) on reset
-  SpfaScratch scratch_;      ///< reinitialised per solve
+  // SPFA scratch, reinitialised per solve.  The tree is a circular preorder
+  // thread over n + 1 slots, slot n the super-source; depth is -1 for a
+  // detached node.
+  std::vector<std::int64_t> dist_;
+  std::vector<char> queued_;
+  std::vector<int> queue_;  ///< ring buffer of capacity n
+  std::vector<int> thread_next_, thread_prev_, depth_;
 };
 
 }  // namespace clktune::feas

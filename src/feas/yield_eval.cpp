@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "feas/diff_constraints.h"
-#include "feas/spfa.h"
 #include "mc/arc_constants.h"
 #include "obs/metrics.h"
 #include "util/assert.h"
@@ -109,9 +108,7 @@ struct RepairWorkspace {
   std::vector<std::uint64_t> arc_stamp, group_stamp;
   std::vector<int> node_of_group, group_of_node;
   std::vector<Arc> set;
-  std::vector<int> head, edge_next, edge_to;
-  std::vector<std::int64_t> edge_weight;
-  SpfaScratch spfa;
+  DiffConstraints graph;
 
   /// Starts a chip.  Sized on first use for up to `set_arcs` arcs in S,
   /// `groups` nodes besides the reference and `edges` edges, so no later
@@ -125,27 +122,12 @@ struct RepairWorkspace {
     }
     set.reserve(set_arcs);
     group_of_node.reserve(groups + 1);
-    head.reserve(groups + 1);
-    edge_next.reserve(edges);
-    edge_to.reserve(edges);
-    edge_weight.reserve(edges);
-    spfa.reserve(groups + 1);
+    graph.reserve(groups + 1, edges);
 
     chip = ++epoch;
     set.clear();
     group_of_node.assign(1, -1);
-    head.assign(1, -1);
-    edge_next.clear();
-    edge_to.clear();
-    edge_weight.clear();
-  }
-
-  /// Constraint x_u - x_v <= w: edge v -> u with weight w.
-  void add_edge(int u, int v, std::int64_t w) {
-    edge_to.push_back(u);
-    edge_next.push_back(head[static_cast<std::size_t>(v)]);
-    head[static_cast<std::size_t>(v)] = static_cast<int>(edge_to.size()) - 1;
-    edge_weight.push_back(w);
+    graph.reset(1);
   }
 
   /// Node of group g (-1: the reference), added with its window edges on
@@ -154,25 +136,13 @@ struct RepairWorkspace {
     if (g < 0) return 0;
     const auto gs = static_cast<std::size_t>(g);
     if (group_stamp[gs] == chip) return node_of_group[gs];
-    const int n = static_cast<int>(group_of_node.size());
+    const int n = graph.add_node();
     group_stamp[gs] = chip;
     node_of_group[gs] = n;
     group_of_node.push_back(g);
-    head.push_back(-1);
-    add_edge(n, 0, windows[gs].k_hi);
-    add_edge(0, n, -windows[gs].k_lo);
+    graph.add(n, 0, windows[gs].k_hi);
+    graph.add(0, n, -windows[gs].k_lo);
     return n;
-  }
-
-  /// Shortest-path potentials of the local graph into spfa.dist; false on
-  /// a negative cycle.
-  bool solve() {
-    return spfa_potentials(
-        static_cast<int>(group_of_node.size()), spfa,
-        [&](int v) { return head[static_cast<std::size_t>(v)]; },
-        [&](int e) { return edge_next[static_cast<std::size_t>(e)]; },
-        [&](int e) { return edge_to[static_cast<std::size_t>(e)]; },
-        [&](int e) { return edge_weight[static_cast<std::size_t>(e)]; });
   }
 };
 
@@ -254,11 +224,13 @@ bool YieldEvaluator::judge(const mc::ArcScreen& screen, std::uint64_t k,
       const ssta::SeqArc& arc = graph.arcs[static_cast<std::size_t>(a.arc)];
       const int ui = ws.node(group_of_ff(arc.src_ff), group_windows_);
       const int uj = ws.node(group_of_ff(arc.dst_ff), group_windows_);
-      ws.add_edge(ui, uj, a.setup);  // setup: x_ui - x_uj <= setup_steps
-      ws.add_edge(uj, ui, a.hold);   // hold:  x_uj - x_ui <= hold_steps
+      ws.graph.add(ui, uj, a.setup);  // setup: x_ui - x_uj <= setup_steps
+      ws.graph.add(uj, ui, a.hold);   // hold:  x_uj - x_ui <= hold_steps
     }
-    if (!ws.solve()) return false;  // S alone is infeasible
-    const std::int64_t* const dist = ws.spfa.dist.data();
+    const std::vector<std::int64_t>* const potentials =
+        ws.graph.solve_inplace();
+    if (potentials == nullptr) return false;  // S alone is infeasible
+    const std::int64_t* const dist = potentials->data();
     // x of a flip-flop: its group's potential against the reference; 0 for
     // an unbuffered flip-flop and for a group S does not touch.
     const auto value = [&](int ff) -> std::int64_t {

@@ -24,7 +24,8 @@
 //     from the screen's short list of arcs some chip could violate at T,
 //     hold arcs only when H_k.  A violated check-only arc fails the chip at
 //     once; an empty S means x = 0 is a configuration;
-//   * solve: SPFA over the reference node, the groups S touches, their
+//   * solve: one feas::DiffConstraints system over the reference node, the
+//     groups S touches (added by add_node() as S first touches them), their
 //     windows and S's exact constants.  A negative cycle fails the chip
 //     (an infeasible subset makes the whole system infeasible); otherwise
 //     every untouched group sits at 0;
@@ -83,8 +84,11 @@ class YieldEvaluator {
              const mc::ChipVerdict& verdict) const;
 
   /// Buffer configuration (delay steps per physical group) for sample k, or
-  /// nullopt when the chip cannot be rescued.  This is the post-silicon
-  /// "testing and configuration" step the paper lists as future work.
+  /// nullopt when the chip cannot be rescued: the dense check's
+  /// shortest-path potentials from the all-zero start, normalised so the
+  /// reference sits at 0 — one feasible configuration, not a best one.
+  /// This is the post-silicon "testing and configuration" step the paper
+  /// lists as future work.
   std::optional<std::vector<int>> find_configuration(
       const mc::Sampler& sampler, std::uint64_t k) const;
 

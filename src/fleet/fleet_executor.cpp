@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "fault/fault.h"
+#include "fleet/fleet_status.h"
 #include "obs/metrics.h"
 #include "serve/client.h"
 #include "util/backoff.h"
@@ -112,26 +113,13 @@ serve::SubmitOptions bounded_timeouts_of(const FleetOptions& options) {
   return timeouts;
 }
 
-/// One status round trip; true when the daemon answered (busy counts as
-/// alive-but-saturated, never dead).  The one definition of "healthy",
-/// shared by the up-front probe and mid-campaign re-probing.
+/// probe_status under the bounded timeouts, for the up-front probe and
+/// mid-campaign re-probing; a dead member counts as a probe failure.
 bool probe_member(const FleetMember& member, const FleetOptions& options,
                   std::string& error) {
-  Json status = Json::object();
-  status.set("cmd", "status");
-  try {
-    const serve::SubmitOutcome outcome = serve::submit_raw(
-        member.host, member.port, status, {}, bounded_timeouts_of(options));
-    const Json* event = outcome.final_event.find("event");
-    if (event != nullptr && event->as_string() == "status") return true;
-    const Json* code = outcome.final_event.find("code");
-    if (code != nullptr && code->is_string() && code->as_string() == "busy")
-      return true;
-    const Json* message = outcome.final_event.find("message");
-    error = message != nullptr ? message->as_string() : "no status response";
-  } catch (const std::exception& e) {
-    error = e.what();
-  }
+  const DaemonProbe probe = probe_status(member, bounded_timeouts_of(options));
+  if (probe.alive) return true;
+  error = probe.error;
   FleetMetrics::get().probe_failures.inc();
   return false;
 }

@@ -37,37 +37,11 @@ std::string format_uptime(double seconds) {
   return buf;
 }
 
+/// probe_status, then a metrics snapshot of a daemon that sent its status.
 void probe_one(const FleetMember& member,
                const serve::SubmitOptions& timeouts, DaemonProbe& probe) {
-  probe.member = member;
-  Json status_cmd = Json::object();
-  status_cmd.set("cmd", "status");
-  try {
-    const serve::SubmitOutcome outcome = serve::submit_raw(
-        member.host, member.port, status_cmd, {}, timeouts);
-    const Json* event = outcome.final_event.find("event");
-    if (event != nullptr && event->as_string() == "status") {
-      probe.alive = true;
-      probe.status = outcome.final_event;
-    } else {
-      const Json* code = outcome.final_event.find("code");
-      if (code != nullptr && code->is_string() &&
-          code->as_string() == "busy") {
-        // Saturated but alive: it answered, it just has no free handler —
-        // report it alive with the backpressure note, no stats.
-        probe.alive = true;
-        probe.error = "busy (admission queue full)";
-        return;
-      }
-      const Json* message = outcome.final_event.find("message");
-      probe.error = message != nullptr ? message->as_string()
-                                       : "no status response";
-      return;
-    }
-  } catch (const std::exception& e) {
-    probe.error = e.what();
-    return;
-  }
+  probe = probe_status(member, timeouts);
+  if (probe.status.find("event") == nullptr) return;  // dead or busy
   // Best-effort metrics snapshot; a daemon predating the verb answers
   // with an error frame and stays alive with an empty metrics object.
   Json metrics_cmd = Json::object();
@@ -84,6 +58,36 @@ void probe_one(const FleetMember& member,
 }
 
 }  // namespace
+
+DaemonProbe probe_status(const FleetMember& member,
+                         const serve::SubmitOptions& timeouts) {
+  DaemonProbe probe;
+  probe.member = member;
+  Json status_cmd = Json::object();
+  status_cmd.set("cmd", "status");
+  try {
+    const serve::SubmitOutcome outcome = serve::submit_raw(
+        member.host, member.port, status_cmd, {}, timeouts);
+    const Json* event = outcome.final_event.find("event");
+    if (event != nullptr && event->as_string() == "status") {
+      probe.alive = true;
+      probe.status = outcome.final_event;
+      return probe;
+    }
+    const Json* code = outcome.final_event.find("code");
+    if (code != nullptr && code->is_string() && code->as_string() == "busy") {
+      probe.alive = true;
+      probe.error = "busy (admission queue full)";
+      return probe;
+    }
+    const Json* message = outcome.final_event.find("message");
+    probe.error =
+        message != nullptr ? message->as_string() : "no status response";
+  } catch (const std::exception& e) {
+    probe.error = e.what();
+  }
+  return probe;
+}
 
 Json DaemonProbe::to_json() const {
   Json j = Json::object();

@@ -50,6 +50,15 @@ struct PoolStatus {
   util::Json to_json() const;
 };
 
+/// One status round trip to `member`: the one definition of healthy, which
+/// probe_pool and FleetExecutor share, each with its own timeouts.  A
+/// daemon that answers with its status frame is alive with that frame in
+/// `status`; a busy one has no free handler, so it is alive with the
+/// backpressure note in `error` and no status; anything else is dead, with
+/// the reason in `error`.
+DaemonProbe probe_status(const FleetMember& member,
+                         const serve::SubmitOptions& timeouts);
+
 /// Probes every member of `spec` in parallel and aggregates.
 PoolStatus probe_pool(const FleetSpec& spec,
                       const serve::SubmitOptions& timeouts);

@@ -50,7 +50,6 @@ class Model {
     return static_cast<int>(rows_.size()) - 1;
   }
 
-  void set_cost(int var, double cost) { cost_.at(static_cast<size_t>(var)) = cost; }
   void set_bounds(int var, double lo, double hi) {
     CLKTUNE_EXPECTS(lo <= hi);
     lower_.at(static_cast<size_t>(var)) = lo;

@@ -240,13 +240,9 @@ void ArcScreen::draw_into(std::uint64_t k,
   const ssta::SeqArc& arc = g.arcs[e];
   const auto i = static_cast<std::size_t>(arc.src_ff);
   const auto j = static_cast<std::size_t>(arc.dst_ff);
-  // The period MC's historic term orders: its per-chip period and its
-  // hold margin.
+  // The period MC's historic term order.
   v.period = std::max(v.period,
                       late + g.setup_ps[j] + g.skew_ps[i] - g.skew_ps[j]);
-  v.period_hold_fail =
-      v.period_hold_fail ||
-      early - g.hold_ps[j] - g.skew_ps[j] + g.skew_ps[i] < 0.0;
   double setup_c = 0.0, hold_c = 0.0;
   arc_slack(g, e, late, early, clock_period_ps_, setup_c, hold_c);
   v.hold_fail = v.hold_fail || hold_c < 0.0;

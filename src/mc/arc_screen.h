@@ -89,9 +89,6 @@ struct ChipVerdict {
   /// H_k: some arc's hold slack is negative, by arc_slack's raw sign.  Hold
   /// slacks do not depend on T, so the chip fails untuned at every period.
   bool hold_fail = false;
-  /// The same flag in the period MC's historic term order
-  /// (dmin - h_j - q_j + q_i), which PeriodStats::hold_failures counts.
-  bool period_hold_fail = false;
 
   enum class Untuned { passes, fails, unsure };
 
@@ -126,7 +123,7 @@ class ArcScreen {
   /// No allocation once `violated` has the capacity.
   void violated_arcs(std::uint64_t k, std::vector<int>& violated) const;
 
-  /// Chip k's critical setup period and hold flags.  Needs Pass::verdict.
+  /// Chip k's critical setup period and hold flag.  Needs Pass::verdict.
   /// Reads neither the screen's period nor its step; no allocation.
   ChipVerdict verdict(std::uint64_t k) const;
 

@@ -24,7 +24,7 @@ PeriodStats ChipVerdicts::period_stats() const {
   PeriodStats total;
   for (const ChipVerdict& v : verdicts_) {
     total.period.add(v.period);
-    total.hold_failures += v.period_hold_fail ? 1 : 0;
+    total.hold_failures += v.hold_fail ? 1 : 0;
   }
   total.samples = verdicts_.size();
   return total;

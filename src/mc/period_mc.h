@@ -25,7 +25,8 @@ namespace clktune::mc {
 
 struct PeriodStats {
   util::OnlineStats period;     ///< distribution of per-sample min period
-  std::uint64_t hold_failures = 0;  ///< samples with a zero-tuning hold violation
+  /// Chips with H_k: a hold violation at zero tuning.
+  std::uint64_t hold_failures = 0;
   std::uint64_t samples = 0;
 
   double mu() const { return period.mean(); }

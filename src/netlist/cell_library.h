@@ -19,8 +19,6 @@
 #include <string_view>
 #include <vector>
 
-#include "util/assert.h"
-
 namespace clktune::netlist {
 
 /// Number of global (chip-wide) process parameters: L, tox, Vth.
@@ -83,11 +81,6 @@ class CellLibrary {
   /// Flip-flop timing: setup / hold nominal values (ps).
   double setup_ps() const { return setup_ps_; }
   double hold_ps() const { return hold_ps_; }
-  void set_ff_timing(double setup_ps, double hold_ps) {
-    CLKTUNE_EXPECTS(setup_ps >= 0.0 && hold_ps >= 0.0);
-    setup_ps_ = setup_ps;
-    hold_ps_ = hold_ps;
-  }
 
   int dff_cell() const { return dff_cell_; }
 

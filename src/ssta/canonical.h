@@ -60,8 +60,6 @@ struct Canon {
   }
 };
 
-inline Canon make_const(double value) { return Canon{value, {}, 0.0}; }
-
 /// Canonical max via Clark's two-moment matching; the variance not explained
 /// by the blended global sensitivities is assigned to the local term.
 Canon clark_max(const Canon& x, const Canon& y);

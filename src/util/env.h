@@ -15,14 +15,6 @@ inline long env_long(const char* name, long fallback) {
   return (end != nullptr && *end == '\0') ? parsed : fallback;
 }
 
-inline double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  return (end != nullptr && *end == '\0') ? parsed : fallback;
-}
-
 inline std::string env_string(const char* name, const std::string& fallback) {
   const char* v = std::getenv(name);
   return (v == nullptr || *v == '\0') ? fallback : std::string(v);

@@ -1,14 +1,10 @@
-// Online statistics: Welford mean/variance, min/max tracking, pairwise
-// correlation accumulation, and binomial confidence intervals for yields.
+// Online statistics: Welford mean/variance, min/max tracking, a streaming
+// Pearson correlation, and binomial confidence intervals for yields.
 #pragma once
 
 #include <cmath>
 #include <cstddef>
 #include <limits>
-#include <span>
-#include <vector>
-
-#include "util/assert.h"
 
 namespace clktune::util {
 
@@ -22,23 +18,6 @@ class OnlineStats {
     m2_ += delta * (x - mean_);
     if (x < min_) min_ = x;
     if (x > max_) max_ = x;
-  }
-
-  /// Merge another accumulator (parallel reduction), Chan et al. update.
-  void merge(const OnlineStats& other) {
-    if (other.n_ == 0) return;
-    if (n_ == 0) {
-      *this = other;
-      return;
-    }
-    const double na = static_cast<double>(n_);
-    const double nb = static_cast<double>(other.n_);
-    const double delta = other.mean_ - mean_;
-    mean_ += delta * nb / (na + nb);
-    m2_ += other.m2_ + delta * delta * na * nb / (na + nb);
-    n_ += other.n_;
-    if (other.min_ < min_) min_ = other.min_;
-    if (other.max_ > max_) max_ = other.max_;
   }
 
   std::size_t count() const { return n_; }
@@ -88,45 +67,11 @@ class OnlineCorrelation {
   double m2x_ = 0.0, m2y_ = 0.0, cxy_ = 0.0;
 };
 
-/// Symmetric pairwise-correlation accumulator over a fixed set of K series.
-class CorrelationMatrix {
- public:
-  explicit CorrelationMatrix(std::size_t k) : k_(k), cells_(k * k) {}
-
-  /// Feed one joint observation (vector of length k).
-  void add(std::span<const double> obs) {
-    CLKTUNE_EXPECTS(obs.size() == k_);
-    for (std::size_t i = 0; i < k_; ++i)
-      for (std::size_t j = i; j < k_; ++j) cell(i, j).add(obs[i], obs[j]);
-  }
-
-  double correlation(std::size_t i, std::size_t j) const {
-    if (i > j) std::swap(i, j);
-    return cells_[i * k_ + j].correlation();
-  }
-
-  std::size_t size() const { return k_; }
-
- private:
-  OnlineCorrelation& cell(std::size_t i, std::size_t j) {
-    return cells_[i * k_ + j];
-  }
-
-  std::size_t k_;
-  std::vector<OnlineCorrelation> cells_;
-};
-
 /// Normal-approximation half-width of a 95 % confidence interval for a
 /// binomial proportion estimated from n trials.
 inline double yield_ci95(double p, std::size_t n) {
   if (n == 0) return 1.0;
   return 1.96 * std::sqrt(p * (1.0 - p) / static_cast<double>(n));
 }
-
-/// Pearson correlation of two equal-length vectors (convenience).
-double correlation(std::span<const double> a, std::span<const double> b);
-
-/// Arithmetic mean; 0 for an empty range.
-double mean(std::span<const double> v);
 
 }  // namespace clktune::util

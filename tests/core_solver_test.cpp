@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "core/sample_solver.h"
+#include "mc/arc_constants.h"
 #include "mc/sampler.h"
 #include "ssta/seq_graph.h"
 
@@ -222,14 +223,13 @@ TEST(SampleSolverTest, ConcentrateTowardTargetHitsTarget) {
 
 TEST(SampleSolverTest, ArcConstantsUseFlooring) {
   auto g = make_graph(2, {{0, 1, 50.0, 30.0}});
-  const SampleSolver solver(g, 3.0, 100.0, CandidateWindows::floating(2, 20));
-  std::vector<std::int64_t> setup, hold;
-  solver.arc_constants(sample_of(g), setup, hold);
-  ASSERT_EQ(setup.size(), 1u);
+  mc::ArcConstants c;
+  mc::quantize_arc_constants(g, sample_of(g), 100.0, 3.0, c);
+  ASSERT_EQ(c.setup_steps.size(), 1u);
   // setup_c = 100 - 2 - 50 = 48 -> floor(48/3) = 16.
-  EXPECT_EQ(setup[0], 16);
+  EXPECT_EQ(c.setup_steps[0], 16);
   // hold_c = 30 - 0.5 = 29.5 -> floor(29.5/3) = 9.
-  EXPECT_EQ(hold[0], 9);
+  EXPECT_EQ(c.hold_steps[0], 9);
 }
 
 TEST(SampleSolverTest, TwoIndependentComponentsBothSolved) {

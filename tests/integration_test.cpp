@@ -16,6 +16,7 @@
 #include "core/engine.h"
 #include "core/sample_solver.h"
 #include "feas/yield_eval.h"
+#include "mc/arc_constants.h"
 #include "mc/period_mc.h"
 #include "netlist/bench_io.h"
 #include "netlist/generator.h"
@@ -92,7 +93,7 @@ TEST(SolverSolutionValidity, TuningsSatisfyEveryArcConstraint) {
       core::CandidateWindows::floating(w.graph.num_ffs, 20));
   const mc::Sampler sampler(w.graph, 42);
   mc::ArcSample arcs;
-  std::vector<std::int64_t> setup, hold;
+  mc::ArcConstants c;
   int checked = 0;
   for (std::uint64_t k = 0; k < 250; ++k) {
     sampler.evaluate(k, arcs);
@@ -100,7 +101,7 @@ TEST(SolverSolutionValidity, TuningsSatisfyEveryArcConstraint) {
         solver.solve(arcs, core::ConcentrateMode::toward_zero);
     if (!sol.fixable || sol.nk == 0) continue;
     ++checked;
-    solver.arc_constants(arcs, setup, hold);
+    mc::quantize_arc_constants(w.graph, arcs, w.t, w.step, c);
     std::vector<std::int64_t> x(static_cast<std::size_t>(w.graph.num_ffs), 0);
     for (const auto& [ff, kv] : sol.tunings)
       x[static_cast<std::size_t>(ff)] = kv;
@@ -108,8 +109,8 @@ TEST(SolverSolutionValidity, TuningsSatisfyEveryArcConstraint) {
       const ssta::SeqArc& arc = w.graph.arcs[e];
       const std::int64_t xi = x[static_cast<std::size_t>(arc.src_ff)];
       const std::int64_t xj = x[static_cast<std::size_t>(arc.dst_ff)];
-      EXPECT_LE(xi - xj, setup[e]) << "sample " << k << " arc " << e;
-      EXPECT_LE(xj - xi, hold[e]) << "sample " << k << " arc " << e;
+      EXPECT_LE(xi - xj, c.setup_steps[e]) << "sample " << k << " arc " << e;
+      EXPECT_LE(xj - xi, c.hold_steps[e]) << "sample " << k << " arc " << e;
     }
     // And the support size matches the reported optimum.
     EXPECT_EQ(static_cast<int>(sol.tunings.size()), sol.nk);
@@ -129,7 +130,9 @@ TEST(SolverOptimality, CountMatchesExhaustiveOnSmallChips) {
       core::CandidateWindows::floating(w.graph.num_ffs, window));
   const mc::Sampler sampler(w.graph, 9);
   mc::ArcSample arcs;
-  std::vector<std::int64_t> setup, hold;
+  mc::ArcConstants c;
+  const std::vector<std::int32_t>& setup = c.setup_steps;
+  const std::vector<std::int32_t>& hold = c.hold_steps;
   const auto ffs = static_cast<std::size_t>(w.graph.num_ffs);
   std::vector<double> targets(ffs);
   for (std::size_t f = 0; f < ffs; ++f)
@@ -141,7 +144,7 @@ TEST(SolverOptimality, CountMatchesExhaustiveOnSmallChips) {
     for (int ff : support)
       p.buffers.push_back(feas::BufferWindow{ff, -window, window});
     p.reset_groups();
-    // Evaluate via the independent Bellman-Ford path.
+    // Evaluate via the evaluator's dense check.
     const feas::YieldEvaluator ev(w.graph, p, w.t);
     return ev;
   };
@@ -236,7 +239,7 @@ TEST(SolverOptimality, CountMatchesExhaustiveOnSmallChips) {
       }
     }
 
-    solver.arc_constants(arcs, setup, hold);
+    mc::quantize_arc_constants(w.graph, arcs, w.t, w.step, c);
     const core::SampleSolution zero =
         solver.solve(arcs, core::ConcentrateMode::toward_zero);
     const core::SampleSolution target =

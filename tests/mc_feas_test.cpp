@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <optional>
 #include <vector>
 
 #include "feas/diff_constraints.h"
@@ -12,6 +11,7 @@
 #include "mc/period_mc.h"
 #include "mc/sampler.h"
 #include "netlist/generator.h"
+#include "reference/bellman_ford.h"
 #include "reference/dense.h"
 #include "ssta/seq_graph.h"
 #include "util/rng.h"
@@ -189,54 +189,38 @@ TEST(DiffConstraintsTest, ParallelConstraintsKeepTheTightest) {
   EXPECT_EQ((*sol)[1] - (*sol)[0], -3);
 }
 
-namespace {
-
-struct Constraint {
-  int u, v;  ///< x_u - x_v <= w
-  std::int64_t w;
-};
-
-// Textbook Bellman-Ford from all-zero potentials: n full passes over every
-// constraint; an improvement still possible after them means a negative
-// cycle.
-std::optional<std::vector<std::int64_t>> bellman_ford(
-    int n, const std::vector<Constraint>& cs) {
-  std::vector<std::int64_t> x(static_cast<std::size_t>(n), 0);
-  const auto relax = [&] {
-    bool changed = false;
-    for (const Constraint& c : cs) {
-      const std::int64_t bound = x[static_cast<std::size_t>(c.v)] + c.w;
-      if (bound < x[static_cast<std::size_t>(c.u)]) {
-        x[static_cast<std::size_t>(c.u)] = bound;
-        changed = true;
-      }
-    }
-    return changed;
-  };
-  for (int pass = 0; pass < n; ++pass) relax();
-  if (relax()) return std::nullopt;
-  return x;
-}
-
-}  // namespace
-
+// Half the systems start with all their nodes; the other half start with a
+// few and grow by add_node() between constraints, as local repair grows its
+// graph.  Either way the workspace is dirty from the previous system, which
+// often had more nodes.
 TEST(DiffConstraintsTest, RandomSystemsMatchBellmanFordOracle) {
   util::SplitMix64 rng(31337);
   DiffConstraints sys;  // one workspace: every solve starts from a dirty one
   int feasible = 0;
   int infeasible = 0;
+  int grown = 0;
   for (int trial = 0; trial < 10000; ++trial) {
     const int n = 1 + static_cast<int>(rng.next_below(40));
-    sys.reset(n);
-    std::vector<Constraint> cs;
+    const bool grow = rng.next_below(2) == 0;
+    int nodes = grow ? 1 + static_cast<int>(rng.next_below(
+                               static_cast<std::uint64_t>(n)))
+                     : n;
+    sys.reset(nodes);
+    const auto add_node = [&] {
+      EXPECT_EQ(sys.add_node(), nodes) << "trial " << trial;
+      ++nodes;
+    };
+    std::vector<reference::Constraint> cs;
     const auto add = [&](int u, int v, std::int64_t w) {
       sys.add(u, v, w);
       cs.push_back({u, v, w});
     };
     const int m = static_cast<int>(rng.next_below(3 * n + 2));
     for (int e = 0; e < m; ++e) {
-      const int u = static_cast<int>(rng.next_below(n));  // u == v allowed
-      const int v = static_cast<int>(rng.next_below(n));
+      while (nodes < n && rng.next_below(3) == 0) add_node();
+      const auto live = static_cast<std::uint64_t>(nodes);
+      const int u = static_cast<int>(rng.next_below(live));  // u == v allowed
+      const int v = static_cast<int>(rng.next_below(live));
       const auto w = static_cast<std::int64_t>(rng.next_below(21)) - 6;
       add(u, v, w);
       switch (rng.next_below(8)) {
@@ -250,7 +234,10 @@ TEST(DiffConstraintsTest, RandomSystemsMatchBellmanFordOracle) {
           break;
       }
     }
-    const auto expected = bellman_ford(n, cs);
+    while (nodes < n) add_node();
+    grown += grow ? 1 : 0;
+    ASSERT_EQ(sys.num_nodes(), n) << "trial " << trial;
+    const auto expected = reference::bellman_ford(n, cs);
     const auto got = sys.solve();
     ASSERT_EQ(got.has_value(), expected.has_value()) << "trial " << trial;
     if (expected.has_value()) {
@@ -262,6 +249,7 @@ TEST(DiffConstraintsTest, RandomSystemsMatchBellmanFordOracle) {
   }
   EXPECT_GT(feasible, 500);
   EXPECT_GT(infeasible, 500);
+  EXPECT_GT(grown, 4000);
 }
 
 // ---------------------------- yield evaluation -----------------------------

@@ -79,7 +79,7 @@ TEST(DiffConstraintsWorkspaceTest, SameSystemSolvedTwiceIsIdentical) {
   EXPECT_FALSE(sys.feasible());  // and infeasibility is stable too
 }
 
-TEST(DiffConstraintsWorkspaceTest, EpochResetAfterNegativeCycleBailout) {
+TEST(DiffConstraintsWorkspaceTest, ShrinkingResetAfterNegativeCycleBailout) {
   DiffConstraints sys;
   build_negative_cycle(sys);
   EXPECT_FALSE(sys.feasible());
@@ -134,27 +134,6 @@ struct KernelFixture {
     t0 = netlist::nominal_min_period(design);
   }
 };
-
-TEST(ArcConstantsTest, SolverArcConstantsUseSharedQuantizer) {
-  const KernelFixture fx;
-  const mc::Sampler sampler(fx.graph, 7);
-  const double step = fx.t0 / 160.0;
-  const core::SampleSolver solver(
-      fx.graph, step, fx.t0,
-      core::CandidateWindows::floating(fx.graph.num_ffs, 20));
-
-  mc::ArcSample sample;
-  sampler.evaluate(3, sample);
-  std::vector<std::int64_t> setup64, hold64;
-  solver.arc_constants(sample, setup64, hold64);
-  mc::ArcConstants c;
-  mc::quantize_arc_constants(fx.graph, sample, fx.t0, step, c);
-  ASSERT_EQ(setup64.size(), c.setup_steps.size());
-  for (std::size_t e = 0; e < setup64.size(); ++e) {
-    EXPECT_EQ(setup64[e], c.setup_steps[e]);
-    EXPECT_EQ(hold64[e], c.hold_steps[e]);
-  }
-}
 
 // ------------------------ arc screen and memo ------------------------------
 

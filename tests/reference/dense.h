@@ -48,21 +48,6 @@ inline double dense_period(const ssta::SeqGraph& graph,
   return period;
 }
 
-/// Does some hold margin dmin - h_j - q_j + q_i of the chip fall below 0?
-inline bool dense_period_hold_fail(const ssta::SeqGraph& graph,
-                                   const mc::ArcSample& sample) {
-  for (std::size_t e = 0; e < graph.arcs.size(); ++e) {
-    const ssta::SeqArc& arc = graph.arcs[e];
-    const double margin =
-        sample.dmin[e] -
-        graph.hold_ps[static_cast<std::size_t>(arc.dst_ff)] -
-        graph.skew_ps[static_cast<std::size_t>(arc.dst_ff)] +
-        graph.skew_ps[static_cast<std::size_t>(arc.src_ff)];
-    if (margin < 0.0) return true;
-  }
-  return false;
-}
-
 /// Does some hold slack of the chip fail arc_slack's raw sign?
 inline bool dense_hold_fail(const ssta::SeqGraph& graph,
                             const mc::ArcSample& sample) {
@@ -85,7 +70,7 @@ inline mc::PeriodStats dense_min_period(const mc::Sampler& sampler,
   for (std::uint64_t k = 0; k < samples; ++k) {
     sampler.evaluate(k, sample);
     total.period.add(dense_period(graph, sample));
-    total.hold_failures += dense_period_hold_fail(graph, sample) ? 1 : 0;
+    total.hold_failures += dense_hold_fail(graph, sample) ? 1 : 0;
     ++total.samples;
   }
   return total;

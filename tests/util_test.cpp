@@ -81,32 +81,6 @@ TEST(OnlineStatsTest, MatchesClosedForm) {
   EXPECT_DOUBLE_EQ(s.max(), 10.0);
 }
 
-TEST(OnlineStatsTest, MergeEqualsSequential) {
-  OnlineStats whole, part1, part2;
-  SplitMix64 rng(3);
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.next_normal() * 3.0 + 1.0;
-    whole.add(x);
-    (i < 400 ? part1 : part2).add(x);
-  }
-  part1.merge(part2);
-  EXPECT_EQ(part1.count(), whole.count());
-  EXPECT_NEAR(part1.mean(), whole.mean(), 1e-10);
-  EXPECT_NEAR(part1.variance(), whole.variance(), 1e-8);
-}
-
-TEST(OnlineStatsTest, MergeWithEmptySides) {
-  OnlineStats empty, filled;
-  filled.add(2.0);
-  filled.add(4.0);
-  OnlineStats a = filled;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  OnlineStats b = empty;
-  b.merge(filled);
-  EXPECT_DOUBLE_EQ(b.mean(), 3.0);
-}
-
 TEST(OnlineCorrelationTest, PerfectPositiveAndNegative) {
   OnlineCorrelation pos, neg;
   for (int i = 0; i < 50; ++i) {
@@ -121,22 +95,6 @@ TEST(OnlineCorrelationTest, ConstantSeriesYieldsZero) {
   OnlineCorrelation c;
   for (int i = 0; i < 10; ++i) c.add(5.0, i);
   EXPECT_EQ(c.correlation(), 0.0);
-}
-
-TEST(CorrelationMatrixTest, DiagonalIsOneOffDiagonalTracksData) {
-  CorrelationMatrix m(3);
-  SplitMix64 rng(17);
-  for (int k = 0; k < 20000; ++k) {
-    const double a = rng.next_normal();
-    const double b = 0.9 * a + 0.1 * rng.next_normal();
-    const double c = rng.next_normal();
-    const double obs[3] = {a, b, c};
-    m.add(obs);
-  }
-  EXPECT_NEAR(m.correlation(0, 0), 1.0, 1e-9);
-  EXPECT_GT(m.correlation(0, 1), 0.98);
-  EXPECT_NEAR(m.correlation(0, 2), 0.0, 0.05);
-  EXPECT_EQ(m.correlation(1, 0), m.correlation(0, 1));
 }
 
 TEST(IntHistogramTest, WindowCounting) {
