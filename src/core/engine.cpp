@@ -110,7 +110,8 @@ InsertionResult BufferInsertionEngine::run() {
 
   const mc::Sampler sampler(*graph_, config_.sample_seed);
   const mc::ArcScreen screen(sampler, clock_period_, step_ps_,
-                            mc::ArcScreen::Pass::violated_arcs);
+                            mc::ArcScreen::Pass::violated_arcs,
+                            config_.threads);
   std::vector<std::vector<int>> violated(samples);
 
   // ------------------- step 1: floating lower bounds ----------------------

@@ -182,8 +182,9 @@ const std::vector<std::int64_t>* YieldEvaluator::solve_dense(
   return system.solve_inplace();
 }
 
-bool YieldEvaluator::judge(const mc::ArcScreen& screen, std::uint64_t k,
-                           const mc::ChipVerdict& verdict) const {
+bool YieldEvaluator::judge(const mc::ArcScreen& screen,
+                           const mc::ChipVerdicts& verdicts,
+                           std::uint64_t k) const {
   thread_local RepairWorkspace ws;
   // At worst every edge arc joins S and every group is a node: two edges
   // per group and per edge arc, as in the dense graph.
@@ -208,11 +209,10 @@ bool YieldEvaluator::judge(const mc::ArcScreen& screen, std::uint64_t k,
   for (const int e : screen.setup_risk_arcs())
     if (screen.setup_violated(k, z, static_cast<std::size_t>(e)) && !seed(e))
       return false;
-  // Without H_k every hold slack of the chip is non-negative.
-  if (verdict.hold_fail)
-    for (const int e : screen.hold_risk_arcs())
-      if (screen.hold_violated(k, z, static_cast<std::size_t>(e)) && !seed(e))
-        return false;
+  // The verdict set holds the chip's hold-violated arcs; without H_k there
+  // are none.
+  for (const int e : verdicts.hold_arcs(k))
+    if (!seed(e)) return false;
   if (ws.set.empty()) return true;  // x = 0 is a configuration
   for (RepairWorkspace::Arc& a : ws.set)
     screen.constants(k, z, static_cast<std::size_t>(a.arc), a.setup, a.hold);
@@ -298,8 +298,8 @@ YieldResult YieldEvaluator::evaluate(const mc::Sampler& sampler,
 YieldResult YieldEvaluator::evaluate(const mc::ChipVerdicts& verdicts,
                                      int threads) const {
   const std::uint64_t samples = verdicts.samples();
-  const mc::ArcScreen screen(verdicts.sampler(), clock_period_,
-                             plan_.step_ps);
+  const mc::ArcScreen screen =
+      verdicts.screen().at(clock_period_, plan_.step_ps);
   const double band = screen.rounding_band();
   // With no arc between two variables tuning changes no constraint, and
   // the untuned verdict is final.
@@ -315,7 +315,7 @@ YieldResult YieldEvaluator::evaluate(const mc::ChipVerdicts& verdicts,
       case mc::ChipVerdict::Untuned::unsure:
         break;
     }
-    return judge(screen, k, v);
+    return judge(screen, verdicts, k);
   };
 
   const std::size_t workers = util::resolve_thread_count(

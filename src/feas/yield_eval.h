@@ -13,7 +13,11 @@
 // it, so an evaluator costs O(flip-flops + buffers) to build, plus one pass
 // over the arcs that counts the arcs between two variables.
 //
-// evaluate() judges each chip once on the arc screen (mc/arc_screen.h).
+// evaluate() judges each chip once on the arc screen (mc/arc_screen.h),
+// which it derives from its verdict set's screen with ArcScreen::at: one
+// read-only pass over the arcs for the setup-risk list at T, while the
+// per-arc bound data is built once per verdict set, so the plans and
+// periods judged on one verdict set share it.
 // Every window contains 0 — the constructor asserts it — so a chip that
 // passes untuned passes under any plan, and its verdict (P_k, H_k) says so
 // without a look at its arcs: it passes at T unless it fails hold or
@@ -22,8 +26,10 @@
 //
 //   * seed: the set S of arcs violated at x = 0, by raw sign — setup arcs
 //     from the screen's short list of arcs some chip could violate at T,
-//     hold arcs only when H_k.  A violated check-only arc fails the chip at
-//     once; an empty S means x = 0 is a configuration;
+//     and, for an H_k chip, the hold-violated arcs its verdict set took
+//     when it was built (hold slacks do not read T).  A violated check-only
+//     arc fails the chip at once; an empty S means x = 0 is a
+//     configuration;
 //   * solve: one feas::DiffConstraints system over the reference node, the
 //     groups S touches (added by add_node() as S first touches them), their
 //     windows and S's exact constants.  A negative cycle fails the chip
@@ -76,12 +82,14 @@ class YieldEvaluator {
   /// allocations in steady state (per-thread scratch).
   bool sample_feasible(const mc::Sampler& sampler, std::uint64_t k) const;
 
-  /// Same question on the arc screen, for chip k with verdict `verdict`, by
-  /// local repair; `screen` must be at this evaluator's period and the
-  /// plan's step.  Equals sample_feasible(screen.sampler(), k).  Zero heap
-  /// allocations in steady state.
-  bool judge(const mc::ArcScreen& screen, std::uint64_t k,
-             const mc::ChipVerdict& verdict) const;
+  /// Same question on the arc screen, for chip k of `verdicts`, by local
+  /// repair, seeded with the chip's hold-violated arcs from `verdicts`;
+  /// `screen` must be on the verdicts' sampler, at this evaluator's period
+  /// and the plan's step (verdicts.screen().at(T, step)).  Equals
+  /// sample_feasible(verdicts.sampler(), k).  Zero heap allocations in
+  /// steady state.
+  bool judge(const mc::ArcScreen& screen, const mc::ChipVerdicts& verdicts,
+             std::uint64_t k) const;
 
   /// Buffer configuration (delay steps per physical group) for sample k, or
   /// nullopt when the chip cannot be rescued: the dense check's
@@ -111,8 +119,9 @@ class YieldEvaluator {
                        int threads = 0) const;
 
   /// Yield over the chips of a verdict set: every chip that passes untuned
-  /// passes, the rest are judged.  Equal to counting sample_feasible over
-  /// the same chips, at every thread count.
+  /// passes, the rest are judged on verdicts.screen().at(T, step).  Equal
+  /// to counting sample_feasible over the same chips, at every thread
+  /// count.
   YieldResult evaluate(const mc::ChipVerdicts& verdicts,
                        int threads = 0) const;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "feas/diff_constraints.h"
@@ -102,10 +103,11 @@ TEST(PeriodMcTest, MomentsStableAndHoldSafe) {
 }
 
 // The moments set the clock period of every run, so the thread count must
-// not move a bit of them.
+// not move a bit of them, nor change the hold arcs a verdict set records.
 TEST(PeriodMcTest, ThreadCountDoesNotChangeResult) {
   const mc::Sampler sampler(test_graph(), 33);
   const mc::PeriodStats seq = mc::sample_min_period(sampler, 1000, 1);
+  const mc::ChipVerdicts one(sampler, 1000, 1);
   const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
   for (const int threads : {4, 16}) {
     const mc::PeriodStats par = mc::sample_min_period(sampler, 1000, threads);
@@ -114,7 +116,13 @@ TEST(PeriodMcTest, ThreadCountDoesNotChangeResult) {
     EXPECT_EQ(bits(seq.period.min()), bits(par.period.min())) << threads;
     EXPECT_EQ(bits(seq.period.max()), bits(par.period.max())) << threads;
     EXPECT_EQ(seq.hold_failures, par.hold_failures) << threads;
+    const mc::ChipVerdicts many(sampler, 1000, threads);
+    for (std::uint64_t k = 0; k < 1000; ++k)
+      EXPECT_TRUE(std::ranges::equal(one.hold_arcs(k), many.hold_arcs(k)))
+          << "chip " << k << " threads " << threads;
   }
+  // Some chips fail hold, so the lists are not all empty.
+  EXPECT_GT(seq.hold_failures, 0u);
 }
 
 TEST(PeriodMcTest, OriginalYieldAtDerivedPeriods) {
@@ -601,6 +609,114 @@ TEST(YieldEvaluatorTest, FeasibilityIsMonotoneInThePeriod) {
   // Both cases occur: chips pass at both periods, and others only at T2.
   EXPECT_GT(kept, 1000u);
   EXPECT_GT(gained, 100u);
+}
+
+/// Counts of a metamorphic check: chips that pass under both plans, and
+/// chips that pass under the changed plan only.
+struct Relation {
+  std::uint64_t kept = 0, gained = 0;
+};
+
+/// A plan that only adds configurations to `before` must keep every chip
+/// that passes under it.  Checked chip by chip, through judge on the screen
+/// evaluate() derives from `verdicts` and through the dense check.
+void expect_keeps_passing_chips(const ssta::SeqGraph& g,
+                                const mc::ChipVerdicts& verdicts, double t,
+                                const TuningPlan& before,
+                                const TuningPlan& after, const char* label,
+                                int trial, Relation& counts) {
+  const YieldEvaluator old_plan(g, before, t), new_plan(g, after, t);
+  const mc::ArcScreen screen = verdicts.screen().at(t, before.step_ps);
+  for (std::uint64_t k = 0; k < verdicts.samples(); ++k) {
+    const bool judged_before = old_plan.judge(screen, verdicts, k);
+    const bool judged_after = new_plan.judge(screen, verdicts, k);
+    const bool dense_before = old_plan.sample_feasible(verdicts.sampler(), k);
+    const bool dense_after = new_plan.sample_feasible(verdicts.sampler(), k);
+    EXPECT_TRUE(!judged_before || judged_after)
+        << label << " trial " << trial << " chip " << k << " (judge)";
+    EXPECT_TRUE(!dense_before || dense_after)
+        << label << " trial " << trial << " chip " << k << " (dense)";
+    counts.kept += judged_before && judged_after ? 1 : 0;
+    counts.gained += !judged_before && judged_after ? 1 : 0;
+  }
+}
+
+/// One random small graph with a verdict set over its chips, a period near
+/// its mean and a random grouped plan on it.
+struct MetamorphicWorld {
+  ssta::SeqGraph graph;
+  std::unique_ptr<mc::Sampler> sampler;
+  std::unique_ptr<mc::ChipVerdicts> verdicts;
+  double period = 0.0;
+  TuningPlan plan;
+
+  MetamorphicWorld(util::SplitMix64& rng, int trial) {
+    const int n = 3 + static_cast<int>(rng.next_below(10));
+    const int m = n + static_cast<int>(rng.next_below(
+                          static_cast<std::uint64_t>(3 * n)));
+    graph = random_graph(rng, n, m);
+    sampler = std::make_unique<mc::Sampler>(
+        graph, 4000 + static_cast<std::uint64_t>(trial));
+    verdicts = std::make_unique<mc::ChipVerdicts>(*sampler, 200, 1);
+    const mc::PeriodStats ps = verdicts->period_stats();
+    const double step = rng.next_double(0.5, 3.0);
+    period = ps.mu() + rng.next_double(-1.0, 1.0) * ps.sigma();
+    plan = random_grouped_plan(rng, n, step);
+  }
+  // The sampler points into `graph`.
+  MetamorphicWorld(const MetamorphicWorld&) = delete;
+  MetamorphicWorld& operator=(const MetamorphicWorld&) = delete;
+};
+
+// Widening a member's window widens its group's (the union of its members'),
+// which only adds configurations.
+TEST(YieldEvaluatorTest, WideningAWindowKeepsEveryPassingChip) {
+  util::SplitMix64 rng(2610);
+  Relation counts;
+  for (int trial = 0; trial < 30; ++trial) {
+    const MetamorphicWorld w(rng, trial);
+    if (w.plan.buffers.empty()) continue;
+    TuningPlan wider = w.plan;
+    BufferWindow& b = wider.buffers[static_cast<std::size_t>(
+        rng.next_below(wider.buffers.size()))];
+    const int lower = static_cast<int>(rng.next_below(4));
+    b.k_lo -= lower;
+    b.k_hi += lower == 0 ? 1 + static_cast<int>(rng.next_below(3))
+                         : static_cast<int>(rng.next_below(4));
+    expect_keeps_passing_chips(w.graph, *w.verdicts, w.period, w.plan, wider,
+                               "wider", trial, counts);
+  }
+  // Chips pass under both plans, and the wider window rescues others.
+  EXPECT_GT(counts.kept, 1000u);
+  EXPECT_GT(counts.gained, 0u);
+}
+
+// A buffer on an unbuffered flip-flop, in a group of its own, whose window
+// contains 0, extends every configuration by a 0 for it.
+TEST(YieldEvaluatorTest, AddingABufferKeepsEveryPassingChip) {
+  util::SplitMix64 rng(2611);
+  Relation counts;
+  for (int trial = 0; trial < 30; ++trial) {
+    const MetamorphicWorld w(rng, trial);
+    std::vector<int> unbuffered;
+    for (int f = 0; f < w.graph.num_ffs; ++f)
+      if (std::none_of(w.plan.buffers.begin(), w.plan.buffers.end(),
+                       [f](const BufferWindow& b) { return b.ff == f; }))
+        unbuffered.push_back(f);
+    if (unbuffered.empty()) continue;
+    TuningPlan more = w.plan;
+    more.buffers.push_back(
+        {unbuffered[static_cast<std::size_t>(
+             rng.next_below(unbuffered.size()))],
+         -static_cast<int>(rng.next_below(7)),
+         static_cast<int>(rng.next_below(7))});
+    more.group_of.push_back(more.num_groups++);
+    expect_keeps_passing_chips(w.graph, *w.verdicts, w.period, w.plan, more,
+                               "added", trial, counts);
+  }
+  // Chips pass under both plans, and the added buffer rescues others.
+  EXPECT_GT(counts.kept, 1000u);
+  EXPECT_GT(counts.gained, 0u);
 }
 
 }  // namespace

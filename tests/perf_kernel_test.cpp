@@ -355,18 +355,30 @@ TEST(ZeroAllocTest, YieldCheckSteadyStateDoesNotAllocate) {
   EXPECT_GT(passing, 0u);  // keep the loop observable
 }
 
+// Both sweeps of a verdict set on the screen it keeps: the verdict of every
+// chip, and the hold sweep, run here on every chip, into a list with the
+// capacity.
 TEST(ZeroAllocTest, ChipVerdictPassDoesNotAllocate) {
   const KernelFixture fx;
   const mc::Sampler sampler(fx.graph, 321);
-  const mc::ArcScreen screen(sampler, 0.0, 1.0, mc::ArcScreen::Pass::verdict);
+  const mc::ChipVerdicts verdicts(sampler, 1, 1);
+  const mc::ArcScreen& screen = verdicts.screen();
+  std::vector<int> hold;
+  hold.reserve(fx.graph.arcs.size());
 
   double period_sum = 0.0;
+  std::size_t hold_arcs = 0;
   util::AllocCounterScope scope;
-  for (std::uint64_t k = 0; k < 200; ++k)
+  for (std::uint64_t k = 0; k < 200; ++k) {
     period_sum += screen.verdict(k).period;
+    hold.clear();
+    screen.hold_violated_arcs(k, hold);
+    hold_arcs += hold.size();
+  }
   const std::uint64_t allocs = scope.delta();
   EXPECT_EQ(allocs, 0u);
   EXPECT_GT(period_sum, 0.0);  // keep the loop observable
+  EXPECT_LT(hold_arcs, 200 * fx.graph.arcs.size());
 }
 
 // Local repair sizes its workspace to the evaluator's worst case on first
@@ -386,7 +398,7 @@ TEST(ZeroAllocTest, JudgingFlaggedChipsSteadyStateDoesNotAllocate) {
                : strided_plan(fx.graph, step, 10);
     const char* const label = oracle ? "oracle" : "strided";
     const feas::YieldEvaluator eval(fx.graph, plan, t);
-    const mc::ArcScreen screen(sampler, t, plan.step_ps);
+    const mc::ArcScreen screen = verdicts.screen().at(t, plan.step_ps);
     // The chips evaluate() judges: those its verdict does not pass untuned.
     std::vector<std::uint64_t> flagged;
     for (std::uint64_t k = 0; k < verdicts.samples(); ++k)
@@ -397,11 +409,11 @@ TEST(ZeroAllocTest, JudgingFlaggedChipsSteadyStateDoesNotAllocate) {
 
     std::uint64_t passing = 0;
     for (std::size_t i = 0; i < 16; ++i)  // warm the per-thread workspace
-      passing += eval.judge(screen, flagged[i], verdicts[flagged[i]]) ? 1 : 0;
+      passing += eval.judge(screen, verdicts, flagged[i]) ? 1 : 0;
 
     util::AllocCounterScope scope;
     for (std::size_t i = 16; i < flagged.size(); ++i)
-      passing += eval.judge(screen, flagged[i], verdicts[flagged[i]]) ? 1 : 0;
+      passing += eval.judge(screen, verdicts, flagged[i]) ? 1 : 0;
     const std::uint64_t allocs = scope.delta();
     EXPECT_EQ(allocs, 0u) << label;
     EXPECT_LT(passing, flagged.size()) << label;

@@ -48,16 +48,24 @@ inline double dense_period(const ssta::SeqGraph& graph,
   return period;
 }
 
-/// Does some hold slack of the chip fail arc_slack's raw sign?
-inline bool dense_hold_fail(const ssta::SeqGraph& graph,
-                            const mc::ArcSample& sample) {
+/// The arcs whose raw hold slack, by arc_slack, is negative, ascending:
+/// what a verdict set records for an H_k chip.
+inline std::vector<int> dense_hold_arcs(const ssta::SeqGraph& graph,
+                                        const mc::ArcSample& sample) {
+  std::vector<int> out;
   for (std::size_t e = 0; e < graph.arcs.size(); ++e) {
     double setup_c = 0.0, hold_c = 0.0;
     mc::arc_slack(graph, e, sample.dmax[e], sample.dmin[e], 0.0, setup_c,
                   hold_c);
-    if (hold_c < 0.0) return true;
+    if (hold_c < 0.0) out.push_back(static_cast<int>(e));
   }
-  return false;
+  return out;
+}
+
+/// Does some hold slack of the chip fail arc_slack's raw sign?
+inline bool dense_hold_fail(const ssta::SeqGraph& graph,
+                            const mc::ArcSample& sample) {
+  return !dense_hold_arcs(graph, sample).empty();
 }
 
 /// The period MC drawing every arc: the chips' minimum periods and hold

@@ -6,19 +6,24 @@
 //
 //   * the period MC's moments bit for bit, and its hold-failure count, at
 //     one and at four threads, against one fold in chip order;
-//   * each chip's verdict against its dense period and hold flags;
+//   * each chip's verdict against its dense period and hold flags, and the
+//     hold-violated arcs a verdict set records against the dense list, at
+//     one and at four threads;
 //   * the passing counts of Yo, our plan, top-K and allbuf, at one and at
 //     four threads, and the top-K incidence vectors;
 //   * the local-repair verdict of every chip those evaluations judge, chip
-//     by chip, for our plan, top-K and allbuf;
+//     by chip, for our plan, top-K and allbuf, on a fresh screen and on one
+//     derived from the verdict set's, whose setup-risk list and rounding
+//     band must equal the fresh one's and cover every setup violation;
 //   * at periods on and around chips' own P_k, where the period MC's and
 //     arc_slack's term orders round apart, Yo and a tuned yield;
 //   * the binning report of our plan and of top-K on a four-rung ladder,
 //     byte for byte, at one and at four threads;
-//   * the step-1 violated lists and the verdicts on the insertion chips
-//     and on chips from every width-table bucket up to radius 6, and the
-//     width tables themselves against the bound at each bucket's worst
-//     global draw.
+//   * the step-1 violated lists of fresh and derived screens, and the
+//     verdicts and hold sweeps, on the insertion chips and on chips from
+//     every width-table bucket up to radius 6, and the width tables
+//     themselves, fresh and derived, against the bound at each bucket's
+//     worst global draw.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,6 +32,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -146,16 +152,21 @@ TEST_P(PaperCircuitTest, PeriodMcMatchesDenseBitwise) {
 TEST_P(PaperCircuitTest, VerdictsMatchDenseChips) {
   const Circuit& c = circuit(GetParam());
   const mc::Sampler sampler(c.graph, kEvalSeed);
-  const mc::ChipVerdicts verdicts(sampler, kEvalChips, 4);
   mc::ArcSample sample;
-  for (std::uint64_t k = 0; k < kEvalChips; ++k) {
-    sampler.evaluate(k, sample);
-    EXPECT_TRUE(
-        same_bits(verdicts[k].period, reference::dense_period(c.graph, sample)))
-        << "chip " << k;
-    EXPECT_EQ(verdicts[k].hold_fail,
-              reference::dense_hold_fail(c.graph, sample))
-        << "chip " << k;
+  for (const int threads : {1, 4}) {
+    const mc::ChipVerdicts verdicts(sampler, kEvalChips, threads);
+    for (std::uint64_t k = 0; k < kEvalChips; ++k) {
+      sampler.evaluate(k, sample);
+      EXPECT_TRUE(same_bits(verdicts[k].period,
+                            reference::dense_period(c.graph, sample)))
+          << "chip " << k << " threads=" << threads;
+      const std::vector<int> hold = reference::dense_hold_arcs(c.graph, sample);
+      EXPECT_EQ(verdicts[k].hold_fail, !hold.empty())
+          << "chip " << k << " threads=" << threads;
+      const std::span<const int> kept = verdicts.hold_arcs(k);
+      EXPECT_EQ(std::vector<int>(kept.begin(), kept.end()), hold)
+          << "chip " << k << " threads=" << threads;
+    }
   }
 }
 
@@ -195,35 +206,61 @@ TEST_P(PaperCircuitTest, YieldsMatchDenseAtTableSettings) {
 }
 
 // A count can hide a false pass offset by a false fail, so every chip that
-// evaluate() judges is held to the dense check on its own.
+// evaluate() judges is held to the dense check on its own, on a fresh
+// screen and on the screen evaluate() derives from the verdict set's.
 TEST_P(PaperCircuitTest, JudgeMatchesDenseOnEveryFlaggedChip) {
   const Circuit& c = circuit(GetParam());
   const mc::Sampler sampler(c.graph, kEvalSeed);
   const mc::ChipVerdicts verdicts(sampler, kEvalChips, 4);
-  std::uint64_t judged = 0, rescued = 0;
+  std::uint64_t judged = 0, rescued = 0, setup_violations = 0;
+  mc::ArcSample sample;
   for (const Circuit::Setting& s : c.settings) {
+    const double t = s.period_ps;
+    // Every arc some chip violates in setup at T is on the derived list.
+    const mc::ArcScreen at_t = verdicts.screen().at(t, s.ours.step_ps);
+    for (std::uint64_t k = 0; k < kEvalChips; ++k) {
+      sampler.evaluate(k, sample);
+      for (std::size_t e = 0; e < c.graph.arcs.size(); ++e) {
+        double setup_c = 0.0, hold_c = 0.0;
+        mc::arc_slack(c.graph, e, sample.dmax[e], sample.dmin[e], t, setup_c,
+                      hold_c);
+        if (setup_c >= 0.0) continue;
+        ++setup_violations;
+        EXPECT_TRUE(std::binary_search(at_t.setup_risk_arcs().begin(),
+                                       at_t.setup_risk_arcs().end(),
+                                       static_cast<int>(e)))
+            << "T=" << t << " chip " << k << " arc " << e;
+      }
+    }
     for (const auto& [label, plan] :
          {std::pair<const char*, const feas::TuningPlan*>{"ours", &s.ours},
           {"topK", &s.topk},
           {"allbuf", &s.allbuf}}) {
-      const feas::YieldEvaluator eval(c.graph, *plan, s.period_ps);
-      const mc::ArcScreen screen(sampler, s.period_ps, plan->step_ps);
+      const feas::YieldEvaluator eval(c.graph, *plan, t);
+      const mc::ArcScreen fresh(sampler, t, plan->step_ps);
+      const mc::ArcScreen derived = verdicts.screen().at(t, plan->step_ps);
+      EXPECT_EQ(derived.setup_risk_arcs(), fresh.setup_risk_arcs())
+          << label << " T=" << t;
+      EXPECT_TRUE(same_bits(derived.rounding_band(), fresh.rounding_band()))
+          << label << " T=" << t;
       for (std::uint64_t k = 0; k < kEvalChips; ++k) {
-        const mc::ChipVerdict& v = verdicts[k];
-        if (v.untuned_at(s.period_ps, screen.rounding_band()) ==
+        if (verdicts[k].untuned_at(t, fresh.rounding_band()) ==
             mc::ChipVerdict::Untuned::passes)
           continue;
         ++judged;
         const bool dense = eval.sample_feasible(sampler, k);
-        EXPECT_EQ(eval.judge(screen, k, v), dense)
-            << label << " T=" << s.period_ps << " chip " << k;
+        EXPECT_EQ(eval.judge(fresh, verdicts, k), dense)
+            << label << " T=" << t << " chip " << k << " (fresh screen)";
+        EXPECT_EQ(eval.judge(derived, verdicts, k), dense)
+            << label << " T=" << t << " chip " << k << " (derived screen)";
         rescued += dense ? 1 : 0;
       }
     }
   }
-  // Both verdicts occur on every circuit.
+  // Both verdicts occur on every circuit, and chips fail setup.
   EXPECT_GT(rescued, 0u);
   EXPECT_LT(rescued, judged);
+  EXPECT_GT(setup_violations, 0u);
 }
 
 TEST_P(PaperCircuitTest, PeriodsAtChipBoundariesMatchDense) {
@@ -312,17 +349,21 @@ std::vector<std::uint64_t> chips_of_every_bucket(const mc::ArcScreen& screen) {
 TEST_P(PaperCircuitTest, ScreenedPassesMatchDenseInEveryBucket) {
   const Circuit& c = circuit(GetParam());
   const mc::Sampler sampler(c.graph, kInsertSeed);
-  const mc::ArcScreen verdicts(sampler, 0.0, 1.0,
-                               mc::ArcScreen::Pass::verdict);
+  const mc::ChipVerdicts kept(sampler, kInsertChips, 4);
+  const mc::ArcScreen& verdicts = kept.screen();
   const std::vector<std::uint64_t> chips = chips_of_every_bucket(verdicts);
+  // Each setting's step-1 screen, fresh and derived from the verdict set's.
   std::vector<mc::ArcScreen> step1;
-  for (const Circuit::Setting& s : c.settings)
+  for (const Circuit::Setting& s : c.settings) {
     step1.emplace_back(sampler, s.period_ps, s.ours.step_ps,
                        mc::ArcScreen::Pass::violated_arcs);
+    step1.push_back(verdicts.at(s.period_ps, s.ours.step_ps,
+                                mc::ArcScreen::Pass::violated_arcs, 4));
+  }
 
   mc::ArcSample sample;
   mc::ArcConstants dense;
-  std::vector<int> violated;
+  std::vector<int> violated, hold;
   std::uint64_t violated_total = 0;
   for (const std::uint64_t k : chips) {
     sampler.evaluate(k, sample);
@@ -345,8 +386,12 @@ TEST_P(PaperCircuitTest, ScreenedPassesMatchDenseInEveryBucket) {
     const mc::ChipVerdict v = verdicts.verdict(k);
     EXPECT_TRUE(same_bits(v.period, reference::dense_period(c.graph, sample)))
         << "chip " << k;
-    EXPECT_EQ(v.hold_fail, reference::dense_hold_fail(c.graph, sample))
-        << "chip " << k;
+    const std::vector<int> dense_hold =
+        reference::dense_hold_arcs(c.graph, sample);
+    EXPECT_EQ(v.hold_fail, !dense_hold.empty()) << "chip " << k;
+    hold.clear();
+    verdicts.hold_violated_arcs(k, hold);
+    EXPECT_EQ(hold, dense_hold) << "chip " << k;
   }
   EXPECT_GT(violated_total, 0u);
 }
@@ -438,12 +483,32 @@ TEST_P(PaperCircuitTest, WidthTablesClearOnlyWhatTheBoundClears) {
   }
 
   const mc::Sampler sampler(g, kInsertSeed);
+  const mc::ChipVerdicts kept(sampler, kInsertChips, 4);
+  // Each setting's screen, fresh and derived from the verdict set's; the
+  // two must agree on every margin, list and table entry.
   std::vector<mc::ArcScreen> screens;
-  for (const Circuit::Setting& s : c.settings)
+  for (const Circuit::Setting& s : c.settings) {
     screens.emplace_back(sampler, s.period_ps, s.ours.step_ps,
                          mc::ArcScreen::Pass::violated_arcs);
+    screens.push_back(kept.screen().at(s.period_ps, s.ours.step_ps,
+                                       mc::ArcScreen::Pass::violated_arcs, 4));
+    const mc::ArcScreen& fresh = screens[screens.size() - 2];
+    const mc::ArcScreen& derived = screens.back();
+    EXPECT_EQ(derived.setup_risk_arcs(), fresh.setup_risk_arcs());
+    EXPECT_TRUE(same_bits(derived.rounding_band(), fresh.rounding_band()));
+    std::uint64_t differ = 0;
+    for (std::size_t e = 0; e < g.arcs.size(); ++e) {
+      differ +=
+          same_bits(derived.clear_margin(e), fresh.clear_margin(e)) ? 0 : 1;
+      for (std::size_t b = 0; b < mc::ArcScreen::kBuckets; ++b)
+        differ += derived.width_threshold(b, e) == fresh.width_threshold(b, e)
+                      ? 0
+                      : 1;
+    }
+    EXPECT_EQ(differ, 0u) << "T=" << s.period_ps;
+  }
   // The verdict pass's screen runs at T = 0 and reads its hold-only table.
-  screens.emplace_back(sampler, 0.0, 1.0, mc::ArcScreen::Pass::verdict);
+  screens.push_back(kept.screen());
   for (std::size_t i = 0; i < margin_arcs.size(); ++i) {
     const bool setup = i % 2 == 0;
     const mc::ArcScreen& screen = setup ? screens.front() : screens.back();
